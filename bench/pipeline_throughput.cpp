@@ -2,31 +2,26 @@
  * @file
  * End-to-end pipeline throughput: the same experiment campaign run
  * serially and across the parallel evaluation engine (src/exec/),
- * plus micro-timings of the SignatureModel classify hot path in
- * every shape the pipeline exercises it — single-call vs batched,
- * active SIMD backend vs forced scalar. Reports JSON on stdout and
- * mirrors it to BENCH_pipeline.json:
+ * plus a micro-timing of the SignatureModel classify hot path on the
+ * active SIMD backend and on the forced scalar reference. Reports
+ * JSON on stdout and mirrors it to BENCH_pipeline.json:
  *
  *   {"bench": "pipeline_throughput", "trials": ...,
  *    "simd_backend": "avx2",
- *    "classify_ns_per_op": ...,          // batched, active backend
- *    "classify_single_ns_per_op": ...,   // per-call, active backend
- *    "classify_scalar_ns_per_op": ...,   // batched, scalar backend
+ *    "classify_ns_per_op": ...,          // active backend
+ *    "classify_scalar_ns_per_op": ...,   // scalar backend
  *    "pr5_baseline_ns_per_op": 860.0,
  *    "simd_speedup": ..., "speedup_vs_pr5": ..., "speedup_ok": true,
- *    "batch_equals_single": true,
  *    "serial": {"seconds": ..., "trials_per_sec": ...},
  *    "parallel": [{"threads": 2, "seconds": ..., "trials_per_sec":
  *                  ..., "speedup": ..., "deterministic": true}, ...]}
  *
  * "deterministic" asserts the parallel run's (truth, inferred) trial
  * sequence is byte-identical to the single-thread run — the core
- * contract of exec::ParallelRunner. "batch_equals_single" asserts
- * classifyBatch returns bit-identical matches (same signature, same
- * distance) as per-call classify over the whole query mix.
- * "speedup_ok" is the perf gate: on a vector-capable host the
- * batched classify must beat the PR-5 scalar baseline (~860 ns/op,
- * see ROADMAP.md) by >= 4x; scalar-only hosts pass vacuously.
+ * contract of exec::ParallelRunner. "speedup_ok" is the perf gate: on
+ * a vector-capable host classify must beat the scalar-era baseline
+ * (~860 ns/op, see ROADMAP.md) by >= 4x; scalar-only hosts pass
+ * vacuously.
  */
 
 #include <chrono>
@@ -113,8 +108,8 @@ queryMix(const attack::SignatureModel &model)
 
 /** Nanoseconds per classify, one call per query. */
 double
-classifySingleNs(const attack::SignatureModel &model,
-                 const std::vector<gpu::CounterVec> &queries)
+nsPerClassify(const attack::SignatureModel &model,
+              const std::vector<gpu::CounterVec> &queries)
 {
     const int iters = 200000;
     double checksum = 0.0;
@@ -128,43 +123,6 @@ classifySingleNs(const attack::SignatureModel &model,
         std::printf("# %f\n", checksum);
     return std::chrono::duration<double, std::nano>(t1 - t0).count() /
            double(iters);
-}
-
-/** Nanoseconds per classify through the batch entry point. */
-double
-classifyBatchNs(const attack::SignatureModel &model,
-                const std::vector<gpu::CounterVec> &queries)
-{
-    const int rounds = 800;
-    std::vector<attack::SignatureModel::Match> matches(queries.size());
-    double checksum = 0.0;
-    const auto t0 = std::chrono::steady_clock::now();
-    for (int r = 0; r < rounds; ++r) {
-        model.classifyBatch(queries, matches);
-        checksum += matches[std::size_t(r) % matches.size()].distance;
-    }
-    const auto t1 = std::chrono::steady_clock::now();
-    if (checksum < 0.0)
-        std::printf("# %f\n", checksum);
-    return std::chrono::duration<double, std::nano>(t1 - t0).count() /
-           double(rounds) / double(queries.size());
-}
-
-/** classifyBatch must be bit-identical to per-call classify. */
-bool
-batchEqualsSingle(const attack::SignatureModel &model,
-                  const std::vector<gpu::CounterVec> &queries)
-{
-    std::vector<attack::SignatureModel::Match> matches(queries.size());
-    model.classifyBatch(queries, matches);
-    for (std::size_t i = 0; i < queries.size(); ++i) {
-        const attack::SignatureModel::Match one =
-            model.classify(queries[i]);
-        if (one.sig != matches[i].sig ||
-            one.distance != matches[i].distance)
-            return false;
-    }
-    return true;
 }
 
 } // namespace
@@ -184,16 +142,12 @@ main(int argc, char **argv)
     const std::vector<gpu::CounterVec> queries = queryMix(model);
 
     const simd::Backend active = simd::activeBackend();
-    const double classifyNs = classifyBatchNs(model, queries);
-    const double classifySingleNs_ = classifySingleNs(model, queries);
-    const bool batchOk = batchEqualsSingle(model, queries);
+    const double classifyNs = nsPerClassify(model, queries);
 
-    // Same measurements with the kernel layer pinned to the scalar
+    // Same measurement with the kernel layer pinned to the scalar
     // reference backend — the in-process control for the SIMD win.
     simd::forceBackend(simd::Backend::Scalar);
-    const double scalarNs = classifyBatchNs(model, queries);
-    const double scalarSingleNs = classifySingleNs(model, queries);
-    const bool scalarBatchOk = batchEqualsSingle(model, queries);
+    const double scalarNs = nsPerClassify(model, queries);
     simd::forceBackend(active);
 
     const double speedupVsPr5 = kPr5BaselineNs / classifyNs;
@@ -210,19 +164,16 @@ main(int argc, char **argv)
         buf, sizeof buf,
         "\"trials\": %d, \"simd_backend\": \"%s\", "
         "\"classify_ns_per_op\": %.1f, "
-        "\"classify_single_ns_per_op\": %.1f, "
         "\"classify_scalar_ns_per_op\": %.1f, "
-        "\"classify_scalar_single_ns_per_op\": %.1f, "
         "\"pr5_baseline_ns_per_op\": %.1f, "
         "\"simd_speedup\": %.2f, \"speedup_vs_pr5\": %.2f, "
-        "\"speedup_ok\": %s, \"batch_equals_single\": %s, "
+        "\"speedup_ok\": %s, "
         "\"serial\": {\"seconds\": %.3f, \"trials_per_sec\": %.2f}, "
         "\"parallel\": [",
         trials, simd::backendName(active).c_str(), classifyNs,
-        classifySingleNs_, scalarNs, scalarSingleNs, kPr5BaselineNs,
+        scalarNs, kPr5BaselineNs,
         scalarNs / classifyNs, speedupVsPr5,
-        speedupOk ? "true" : "false",
-        batchOk && scalarBatchOk ? "true" : "false", serial.seconds,
+        speedupOk ? "true" : "false", serial.seconds,
         serial.seconds > 0 ? double(trials) / serial.seconds : 0.0);
     json += buf;
 
@@ -251,15 +202,11 @@ main(int argc, char **argv)
     bench::writeJsonMirror("BENCH_pipeline.json", json);
 
     // Exit non-zero on any gate so CI can run this binary directly.
-    if (!batchOk || !scalarBatchOk)
-        warn("pipeline_throughput: batch != single classify");
     if (!speedupOk)
         warn("pipeline_throughput: classify %.1f ns/op misses the "
              ">=4x gate vs the %.0f ns/op PR-5 baseline",
              classifyNs, kPr5BaselineNs);
     if (!allDeterministic)
         warn("pipeline_throughput: thread-count determinism violated");
-    return batchOk && scalarBatchOk && speedupOk && allDeterministic
-               ? 0
-               : 1;
+    return speedupOk && allDeterministic ? 0 : 1;
 }

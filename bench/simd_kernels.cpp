@@ -1,21 +1,19 @@
 /**
  * @file
  * Micro-bench of the SIMD kernel layer itself (no pipeline on top):
- * per-call nanoseconds for the panel kernels on the shapes the
+ * per-call nanoseconds for the two argmin kernels on the shape the
  * classifiers actually run — the 40-ish row signature panel at
- * gpu::kNumSelectedCounters dims, plus a larger KNN-style panel —
- * for every backend compiled into this binary. Reports JSON on
- * stdout and mirrors it to BENCH_simd.json:
+ * gpu::kNumSelectedCounters dims — for every backend compiled into
+ * this binary. Reports JSON on stdout and mirrors it to
+ * BENCH_simd.json:
  *
  *   {"bench": "simd_kernels", "rows": ..., "dims": ...,
  *    "backends": [{"backend": "scalar",
- *                  "argmin_wl2_ns": ..., "argmin_l2_ns": ...,
- *                  "l2sq_to_many_ns": ..., "l2sq_tile_ns_per_row":
- *                  ..., "pair_l2sq_ns": ...}, ...],
+ *                  "argmin_wl2_ns": ..., "argmin_l2_ns": ...}, ...],
  *    "conformant": true}
  *
- * "conformant" cross-checks every backend's argmin winner and
- * distances against the scalar reference over the benched query set
+ * "conformant" cross-checks every backend's argminWL2 winner and
+ * distance against the scalar reference over the benched query set
  * (the exhaustive shape sweep lives in
  * tests/simd/kernel_conformance_test.cc; this is the smoke-level
  * repeat so a bench artefact is self-validating).
@@ -42,8 +40,6 @@ constexpr std::uint64_t kSeed = 20260808;
 /** The SignatureModel shape: ~40 keys/pages, 11 counters. */
 constexpr std::size_t kSigRows = 40;
 constexpr std::size_t kSigDims = 11;
-/** A KNN-ish panel: hundreds of training points. */
-constexpr std::size_t kKnnRows = 384;
 
 std::vector<double>
 randomBlock(Rng &rng, std::size_t n, double lo, double hi)
@@ -70,9 +66,6 @@ struct BackendRow
     std::string name;
     double argminWl2Ns = 0.0;
     double argminL2Ns = 0.0;
-    double toManyNs = 0.0;
-    double tileNsPerRow = 0.0;
-    double pairL2Ns = 0.0;
 };
 
 } // namespace
@@ -83,17 +76,12 @@ main()
     setVerbose(false);
     Rng rng(kSeed);
 
-    // Panels + query mixes. Queries near the centroids exercise the
+    // Panel + query mix. Queries near the centroids exercise the
     // early-exit pruning the way real classify traffic does.
     const std::vector<double> sigBlock =
         randomBlock(rng, kSigRows * kSigDims, 0.0, 400.0);
     simd::Panel sigPanel;
     sigPanel.packContiguous(sigBlock.data(), kSigRows, kSigDims,
-                            kSigDims);
-    const std::vector<double> knnBlock =
-        randomBlock(rng, kKnnRows * kSigDims, 0.0, 400.0);
-    simd::Panel knnPanel;
-    knnPanel.packContiguous(knnBlock.data(), kKnnRows, kSigDims,
                             kSigDims);
     const std::vector<double> weights =
         randomBlock(rng, kSigDims, 0.001, 0.01);
@@ -133,22 +121,6 @@ main()
         row.argminL2Ns = nsPerCall(400000, [&](int i) {
             sink += double(k.argminL2(query(i), sigPanel).index);
         });
-        std::vector<double> out(kKnnRows);
-        row.toManyNs = nsPerCall(100000, [&](int i) {
-            k.l2sqToMany(query(i), knnPanel, out.data());
-            sink += out[0];
-        });
-        std::vector<double> tile(nQueries * kKnnRows);
-        row.tileNsPerRow = nsPerCall(200, [&](int) {
-                               k.l2sqTile(queries.data(), nQueries,
-                                          kSigDims, knnPanel,
-                                          tile.data(), kKnnRows);
-                               sink += tile[0];
-                           }) /
-                           double(nQueries);
-        row.pairL2Ns = nsPerCall(1000000, [&](int i) {
-            sink += k.l2sq(query(i), sigBlock.data(), kSigDims);
-        });
         if (sink < 0.0) // defeat dead-code elimination
             std::printf("# %f\n", sink);
 
@@ -174,19 +146,16 @@ main()
     std::string json = "{\"bench\": \"simd_kernels\", ";
     char buf[512];
     std::snprintf(buf, sizeof buf,
-                  "\"rows\": %zu, \"dims\": %zu, \"knn_rows\": %zu, "
-                  "\"backends\": [",
-                  kSigRows, kSigDims, kKnnRows);
+                  "\"rows\": %zu, \"dims\": %zu, \"backends\": [",
+                  kSigRows, kSigDims);
     json += buf;
     for (std::size_t i = 0; i < rows.size(); ++i) {
         const BackendRow &r = rows[i];
         std::snprintf(
             buf, sizeof buf,
             "%s{\"backend\": \"%s\", \"argmin_wl2_ns\": %.1f, "
-            "\"argmin_l2_ns\": %.1f, \"l2sq_to_many_ns\": %.1f, "
-            "\"l2sq_tile_ns_per_row\": %.1f, \"pair_l2sq_ns\": %.1f}",
-            i ? ", " : "", r.name.c_str(), r.argminWl2Ns, r.argminL2Ns,
-            r.toManyNs, r.tileNsPerRow, r.pairL2Ns);
+            "\"argmin_l2_ns\": %.1f}",
+            i ? ", " : "", r.name.c_str(), r.argminWl2Ns, r.argminL2Ns);
         json += buf;
     }
     std::snprintf(buf, sizeof buf, "], \"conformant\": %s}",

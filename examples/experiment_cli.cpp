@@ -72,9 +72,6 @@ usage(const char *argv0)
         "  --min-len/--max-len credential lengths (default 8/16)\n"
         "  --typo-prob <f>     correction behaviour (default 0)\n"
         "  --seed <n>          RNG seed (default 1)\n"
-        "  --batch <n>         classify/feed batch size for bulk\n"
-        "                      pipeline consumers (default auto);\n"
-        "                      results are bit-identical for any N\n"
         "  --threads <n>       worker threads for the trial campaign\n"
         "                      (default 1 = serial; >1 shards trials\n"
         "                      across src/exec/, deterministically)\n"
@@ -275,11 +272,6 @@ main(int argc, char **argv)
             cfg.typoProb = std::atof(value());
         } else if (arg == "--seed") {
             cfg.seed = std::uint64_t(std::atoll(value()));
-        } else if (arg == "--batch") {
-            const int n = std::atoi(value());
-            if (n < 1)
-                fatal("--batch wants a positive count");
-            cfg.attackParams.readingBatch = std::size_t(n);
         } else if (arg == "--threads") {
             const int n = std::atoi(value());
             if (n < 1)
@@ -550,9 +542,9 @@ main(int argc, char **argv)
         latRow("all stages", telemetry.metrics.mergedLatency());
         lat.print("stage latency (host time)");
 
-        // Effective per-classification cost through the batched SIMD
-        // path — the number bench/pipeline_throughput gates on, here
-        // measured in situ over this campaign's classify lane.
+        // Effective per-classification cost through the SIMD argmin
+        // kernel — the number bench/pipeline_throughput gates on,
+        // here measured in situ over this campaign's classify lane.
         const auto &hists = telemetry.metrics.histograms();
         if (const auto it = hists.find("latency.attack.classify");
             it != hists.end() && it->second->count() > 0)

@@ -58,7 +58,6 @@ usage(const char *argv0)
         "  --threads N           pump worker threads (replay fan-out)\n"
         "  --policy P            block | shed-oldest | shed-newest\n"
         "  --ring N              per-session ingest queue depth\n"
-        "  --batch N             readings per drain batch (>=1)\n"
         "  --adapt on|off        online template adaptation\n"
         "  --trials N            credential trials (live mode)\n"
         "  --seed N              simulation seed (live mode)\n"
@@ -82,7 +81,6 @@ struct Options
     stream::IngestService::Backpressure policy =
         stream::IngestService::Backpressure::Block;
     std::size_t ringCapacity = 256;
-    std::size_t batch = stream::SessionConfig{}.drainBatch;
     bool adapt = false;
     int trials = 3;
     std::uint64_t seed = 1;
@@ -110,8 +108,6 @@ parseOptions(int argc, char **argv)
             opt.threads = std::size_t(std::atoll(value()));
         else if (arg == "--ring")
             opt.ringCapacity = std::size_t(std::atoll(value()));
-        else if (arg == "--batch")
-            opt.batch = std::size_t(std::atoll(value()));
         else if (arg == "--trials")
             opt.trials = std::atoi(value());
         else if (arg == "--seed")
@@ -154,7 +150,6 @@ serviceParams(const Options &opt)
     stream::IngestService::Params p;
     p.backpressure = opt.policy;
     p.sessions.session.ringCapacity = opt.ringCapacity;
-    p.sessions.session.drainBatch = opt.batch > 0 ? opt.batch : 1;
     p.sessions.session.adaptation = opt.adapt;
     return p;
 }
@@ -336,16 +331,13 @@ reportAndCheck(stream::IngestService &svc, const Options &opt)
     svc.aggregateTelemetry(agg);
     std::printf("funnel     : %s\n", agg.audit.funnelJson().c_str());
 
-    // Effective classify cost across every session's batched path
-    // (batching changes this number, never the inference results).
+    // Effective classify cost across every session.
     const auto &hists = agg.metrics.histograms();
     if (const auto it = hists.find("latency.attack.classify");
         it != hists.end() && it->second->count() > 0)
-        std::printf("classify   : %.1f ns/op effective over %llu "
-                    "ops (drain batch %zu)\n",
+        std::printf("classify   : %.1f ns/op effective over %llu ops\n",
                     it->second->mean(),
-                    (unsigned long long)it->second->count(),
-                    opt.batch > 0 ? opt.batch : 1);
+                    (unsigned long long)it->second->count());
 
     const obs::AuditTrail &audit = agg.audit;
     const std::uint64_t parts =
@@ -401,11 +393,9 @@ cmdReplay(const Options &opt)
 
     stream::IngestService svc(model, serviceParams(opt));
     maybeEnableLivePlane(svc, opt);
-    std::printf("ingesting %s (policy %s, ring %zu, batch %zu, "
-                "adapt %s)\n",
+    std::printf("ingesting %s (policy %s, ring %zu, adapt %s)\n",
                 opt.tracePath.c_str(), policyName(opt.policy),
-                opt.ringCapacity, opt.batch > 0 ? opt.batch : 1,
-                opt.adapt ? "on" : "off");
+                opt.ringCapacity, opt.adapt ? "on" : "off");
 
     // Session 0 takes the trace through the scored path.
     std::vector<stream::IngestService::Trial> trials;

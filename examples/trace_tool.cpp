@@ -125,7 +125,7 @@ cmdRecord(int argc, char **argv)
     }
 
     eval::ExperimentRunner runner(cfg, attack::ModelStore::global());
-    if (!runner.recorder()) {
+    if (!runner.recording()) {
         std::fprintf(stderr, "record: cannot open '%s' for writing\n",
                      out.c_str());
         return 1;

@@ -282,20 +282,13 @@ Eavesdropper::tryRecognize(const PcChange &c)
     recognitionBuffer_.push_back(c);
     if (recognitionBuffer_.size() < 6)
         return false;
-    // One batch of deltas, classified against every store model via
-    // the batch path (identical matches to per-change classify()).
-    std::vector<gpu::CounterVec> deltas;
-    deltas.reserve(recognitionBuffer_.size());
-    for (const PcChange &b : recognitionBuffer_)
-        deltas.push_back(b.delta);
-    std::vector<SignatureModel::Match> matches(deltas.size());
     const SignatureModel *best = nullptr;
     double bestScore = 0.0;
     for (const auto &[key, m] : store_->all()) {
-        m.classifyBatch(deltas, matches);
         double score = 0.0;
         int accepted = 0;
-        for (const SignatureModel::Match &match : matches) {
+        for (const PcChange &b : recognitionBuffer_) {
+            const SignatureModel::Match match = m.classify(b.delta);
             if (match.accepted(m.threshold())) {
                 ++accepted;
                 score += 1.0 / (1.0 + match.distance);

@@ -59,14 +59,6 @@ class Eavesdropper
         /** Keep the raw change trace (offline-inference studies). */
         bool recordTrace = false;
         /**
-         * Readings per feedReadings() chunk for bulk feeders that
-         * honour it (trace replay; streaming ingest has its own
-         * stream::SessionConfig::drainBatch). 0 = auto. Results are
-         * bit-identical for any value — batching only amortises the
-         * per-call pipeline entry. Surfaced as the CLIs' --batch.
-         */
-        std::size_t readingBatch = 0;
-        /**
          * Telemetry context (not owned, must outlive the
          * eavesdropper; null = no instrumentation). Propagated to
          * the sampler, change detector and inference stages; purely
@@ -114,12 +106,8 @@ class Eavesdropper
      */
     void feedReading(const Reading &r);
 
-    /**
-     * Inject a batch of readings in order. Bit-identical to calling
-     * feedReading() once per element — this is the bulk entry point
-     * the trace replayer and streaming ingest drain their buffers
-     * through, so per-call overhead is paid once per batch.
-     */
+    /** Inject readings in order; identical to calling feedReading()
+     *  once per element. */
     void feedReadings(std::span<const Reading> rs);
 
     /** Observe the live sampler stream (trace recording). No-op in

@@ -90,28 +90,6 @@ SignatureModel::classify(const gpu::CounterVec &delta) const
     return best;
 }
 
-void
-SignatureModel::classifyBatch(std::span<const gpu::CounterVec> deltas,
-                              std::span<Match> out) const
-{
-    if (out.size() < deltas.size())
-        panic("classifyBatch: %zu outputs for %zu deltas", out.size(),
-              deltas.size());
-    for (std::size_t i = 0; i < deltas.size(); ++i)
-        out[i] = classify(deltas[i]);
-}
-
-void
-SignatureModel::classifyRobustBatch(
-    std::span<const gpu::CounterVec> deltas, std::span<Match> out) const
-{
-    if (out.size() < deltas.size())
-        panic("classifyRobustBatch: %zu outputs for %zu deltas",
-              out.size(), deltas.size());
-    for (std::size_t i = 0; i < deltas.size(); ++i)
-        out[i] = classifyRobust(deltas[i]);
-}
-
 SignatureModel::Match
 SignatureModel::classifyRobust(const gpu::CounterVec &delta,
                                gpu::CounterVec *effectiveOut) const
@@ -234,14 +212,6 @@ SignatureModel::decodeEchoLength(const gpu::CounterVec &delta,
 
 namespace {
 
-template <typename T>
-void
-put(std::vector<std::uint8_t> &out, const T &v)
-{
-    const auto *p = reinterpret_cast<const std::uint8_t *>(&v);
-    out.insert(out.end(), p, p + sizeof(T));
-}
-
 constexpr std::uint32_t kMagic = 0x47535047; // "GPSG"
 
 } // namespace
@@ -249,32 +219,32 @@ constexpr std::uint32_t kMagic = 0x47535047; // "GPSG"
 std::vector<std::uint8_t>
 SignatureModel::serialize() const
 {
-    std::vector<std::uint8_t> out;
-    put(out, kMagic);
-    put(out, std::uint16_t(modelKey_.size()));
-    out.insert(out.end(), modelKey_.begin(), modelKey_.end());
-    put(out, float(threshold_));
-    put(out, float(echoCutoff_));
-    put(out, float(echoTol_));
+    ByteWriter w;
+    w.u32(kMagic);
+    w.str16(modelKey_);
+    w.f32(float(threshold_));
+    w.f32(float(echoCutoff_));
+    w.f32(float(echoTol_));
     for (std::int64_t v : echoBase_)
-        put(out, std::int32_t(v));
+        w.i32(std::int32_t(v));
     for (std::int64_t v : echoInc_)
-        put(out, std::int32_t(v));
+        w.i32(std::int32_t(v));
     for (double s : scale_)
-        put(out, float(s));
-    put(out, std::uint8_t(blinkVariants_.size()));
+        w.f32(float(s));
+    w.u8(std::uint8_t(blinkVariants_.size()));
     for (const gpu::CounterVec &b : blinkVariants_)
         for (std::int64_t v : b)
-            put(out, std::int32_t(v));
-    put(out, std::uint16_t(sigs_.size()));
+            w.i32(std::int32_t(v));
+    w.u16(std::uint16_t(sigs_.size()));
     for (const LabelSignature &sig : sigs_) {
-        put(out, std::uint8_t(sig.label.size()));
-        out.insert(out.end(), sig.label.begin(), sig.label.end());
+        w.u8(std::uint8_t(sig.label.size()));
+        w.raw(reinterpret_cast<const std::uint8_t *>(sig.label.data()),
+              sig.label.size());
         // Centroids fit comfortably in 32 bits per counter.
         for (std::int64_t v : sig.centroid)
-            put(out, std::int32_t(v));
+            w.i32(std::int32_t(v));
     }
-    return out;
+    return w.take();
 }
 
 std::size_t

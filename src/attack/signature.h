@@ -18,7 +18,6 @@
 #include <array>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -60,19 +59,6 @@ class SignatureModel
 
     /** Nearest centroid in normalised space. */
     Match classify(const gpu::CounterVec &delta) const;
-
-    /**
-     * Classify every delta of a batch (out.size() >= deltas.size()).
-     * Identical results to looping classify(); the centroid panel and
-     * per-query int64-to-double conversion are reused across the
-     * batch.
-     */
-    void classifyBatch(std::span<const gpu::CounterVec> deltas,
-                       std::span<Match> out) const;
-
-    /** Batched classifyRobust (no effective-delta reporting). */
-    void classifyRobustBatch(std::span<const gpu::CounterVec> deltas,
-                             std::span<Match> out) const;
 
     /**
      * Nearest centroid allowing for a merged cursor-blink frame: also

@@ -15,30 +15,26 @@ TraceInference::infer(const std::vector<PcChange> &changes) const
 {
     const std::size_t n = changes.size();
 
-    // Pre-classify every candidate once through the batch path: all
-    // single-change deltas, plus the combined delta of every pair
-    // that falls inside the combine window (the pairing condition
-    // depends only on timestamps, so it is known up front). The DP
-    // and the decision walk below then reuse these matches instead
-    // of re-running classifyRobust — same matches, computed once.
-    std::vector<gpu::CounterVec> singleDeltas(n);
-    for (std::size_t i = 0; i < n; ++i)
-        singleDeltas[i] = changes[i].delta;
+    // Pre-classify every candidate once: all single changes, plus the
+    // combined delta of every pair that falls inside the combine
+    // window (the pairing condition depends only on timestamps, so it
+    // is known up front). The DP and the decision walk below then
+    // reuse these matches instead of re-running classifyRobust.
     std::vector<SignatureModel::Match> single(n);
-    model_.classifyRobustBatch(singleDeltas, single);
+    for (std::size_t i = 0; i < n; ++i)
+        single[i] = model_.classifyRobust(changes[i].delta);
 
     std::vector<std::size_t> pairSlot(n, std::size_t(-1));
-    std::vector<gpu::CounterVec> pairDeltas;
+    std::vector<SignatureModel::Match> pairMatch;
     for (std::size_t i = 0; i + 1 < n; ++i) {
         if (changes[i + 1].time - changes[i].time >
             params_.combineWindow)
             continue;
         using gpu::operator+;
-        pairSlot[i] = pairDeltas.size();
-        pairDeltas.push_back(changes[i].delta + changes[i + 1].delta);
+        pairSlot[i] = pairMatch.size();
+        pairMatch.push_back(model_.classifyRobust(
+            changes[i].delta + changes[i + 1].delta));
     }
-    std::vector<SignatureModel::Match> pairMatch(pairDeltas.size());
-    model_.classifyRobustBatch(pairDeltas, pairMatch);
 
     // dp[i]: best (keys, totalDistance) for the suffix starting at i,
     // with choice[i] recording the decision (0 = noise, 1 = single,

@@ -89,41 +89,44 @@ ExperimentRunner::ExperimentRunner(ExperimentConfig cfg,
         header.device = devCfg;
         header.samplingInterval = cfg_.attackParams.samplingInterval;
         header.seed = cfg_.seed;
-        recorder_ = std::make_unique<trace::TraceRecorder>();
-        if (recorder_->open(cfg_.recordTracePath, header) !=
+        if (traceWriter_.open(cfg_.recordTracePath, header) !=
             trace::TraceError::None) {
             warn("ExperimentRunner: cannot record to '%s'",
                  cfg_.recordTracePath.c_str());
-            recorder_.reset();
         } else {
-            recorder_->attachEavesdropper(*eavesdropper_);
+            eavesdropper_->setReadingTap(
+                [this](const attack::Reading &r) {
+                    ++recordedReadings_;
+                    traceWriter_.writeReading(r);
+                });
             typist_->setKeyListener(
                 [this](const workload::Typist::KeyEvent &ev) {
                     using Kind = workload::Typist::KeyEvent::Kind;
                     switch (ev.kind) {
                       case Kind::Char:
-                        recorder_->onKeyPress(ev.time, ev.ch);
+                        traceWriter_.writeKeyPress(ev.time, ev.ch);
                         break;
                       case Kind::Backspace:
-                        recorder_->onBackspace(ev.time);
+                        traceWriter_.writeBackspace(ev.time);
                         break;
                       case Kind::PageSwitch:
-                        recorder_->onPageSwitch(ev.time, ev.page);
+                        traceWriter_.writePageSwitch(ev.time, ev.page);
                         break;
                     }
                 });
             device_->ime().setPopupListener([this](char ch,
                                                    SimTime t) {
-                recorder_->onPopupShow(t, ch);
+                traceWriter_.writePopupShow(t, ch);
             });
             device_->setAppSwitchListener(
                 [this](bool toTarget, SimTime t) {
-                    recorder_->onAppSwitch(t, toTarget);
+                    traceWriter_.writeAppSwitch(t, toTarget);
                 });
             if (injector_)
                 injector_->setFaultListener(
                     [this](const kgsl::FaultEvent &ev) {
-                        recorder_->onFault(ev);
+                        traceWriter_.writeFault(ev.time, ev.kind,
+                                                ev.detail);
                     });
         }
     }
@@ -152,15 +155,15 @@ ExperimentRunner::~ExperimentRunner()
 trace::TraceError
 ExperimentRunner::finishRecording()
 {
-    if (!recorder_ || !recorder_->recording())
+    if (!traceWriter_.isOpen())
         return trace::TraceError::None;
-    const trace::TraceError err = recorder_->finish();
+    const trace::TraceError err = traceWriter_.close();
     if (err != trace::TraceError::None)
         warn("ExperimentRunner: trace recording failed (%s)",
              trace::traceErrorString(err));
     else
         inform("ExperimentRunner: recorded %llu readings to '%s'",
-               (unsigned long long)recorder_->readingCount(),
+               (unsigned long long)recordedReadings_,
                cfg_.recordTracePath.c_str());
     return err;
 }
@@ -177,8 +180,8 @@ ExperimentRunner::runTrial(const std::string &credential)
     device_->runFor(300_ms);
 
     const SimTime start = device_->eq().now();
-    if (recorder_)
-        recorder_->trialBegin(start, credential);
+    if (traceWriter_.isOpen())
+        traceWriter_.writeTrialBegin(start, credential);
     bool done = false;
     typist_->type(credential, 100_ms, [&done] { done = true; });
     // Advance until the typist finishes (generous bound: 3 s per key
@@ -192,8 +195,8 @@ ExperimentRunner::runTrial(const std::string &credential)
         panic("ExperimentRunner: typist did not finish");
     device_->runFor(600_ms); // flush trailing echoes/dismissals
     const SimTime end = device_->eq().now();
-    if (recorder_)
-        recorder_->trialEnd(end);
+    if (traceWriter_.isOpen())
+        traceWriter_.writeTrialEnd(end);
 
     eavesdropper_->flushTelemetry();
 

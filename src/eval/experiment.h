@@ -20,7 +20,7 @@
 #include "attack/model_store.h"
 #include "eval/metrics.h"
 #include "kgsl/defense.h"
-#include "trace/trace_recorder.h"
+#include "trace/trace_writer.h"
 #include "workload/credential.h"
 #include "workload/load.h"
 #include "workload/typing_model.h"
@@ -159,11 +159,10 @@ class ExperimentRunner
      */
     trace::TraceError finishRecording();
 
-    /** Active recorder, or null when not in record mode. */
-    const trace::TraceRecorder *recorder() const
-    {
-        return recorder_.get();
-    }
+    /** True while record mode is writing the trace file. */
+    bool recording() const { return traceWriter_.isOpen(); }
+    /** Sampler readings tapped into the trace so far. */
+    std::uint64_t recordedReadings() const { return recordedReadings_; }
 
   private:
     ExperimentConfig cfg_;
@@ -172,7 +171,10 @@ class ExperimentRunner
     std::unique_ptr<kgsl::DefendedPolicy> defensePolicy_;
     std::unique_ptr<android::Device> device_;
     std::unique_ptr<kgsl::FaultInjector> injector_;
-    std::unique_ptr<trace::TraceRecorder> recorder_;
+    /** Record mode: live readings and ground truth, tapped from the
+     *  sampler and the device's input surfaces. */
+    trace::TraceWriter traceWriter_;
+    std::uint64_t recordedReadings_ = 0;
     std::optional<attack::SignatureModel> transformedModel_;
     const attack::SignatureModel *model_;
     std::unique_ptr<attack::Eavesdropper> eavesdropper_;

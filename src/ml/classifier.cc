@@ -1,9 +1,6 @@
 #include "ml/classifier.h"
 
 #include <algorithm>
-#include <vector>
-
-#include "util/logging.h"
 
 namespace gpusc::ml {
 
@@ -16,27 +13,14 @@ Dataset::numClasses() const
     return maxLabel + 1;
 }
 
-void
-Classifier::predictBatch(const FeatureMatrix &queries,
-                         std::span<int> out) const
-{
-    if (out.size() < queries.rows())
-        panic("predictBatch: %zu outputs for %zu queries", out.size(),
-              queries.rows());
-    for (std::size_t i = 0; i < queries.rows(); ++i)
-        out[i] = predict(queries[i]);
-}
-
 double
 Classifier::accuracy(const Dataset &data) const
 {
     if (data.size() == 0)
         return 0.0;
-    std::vector<int> pred(data.size());
-    predictBatch(data.x, pred);
     std::size_t correct = 0;
     for (std::size_t i = 0; i < data.size(); ++i)
-        if (pred[i] == data.y[i])
+        if (predict(data.x[i]) == data.y[i])
             ++correct;
     return double(correct) / double(data.size());
 }

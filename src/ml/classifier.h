@@ -34,15 +34,6 @@ class Classifier
         return predict(std::span<const double>(features));
     }
 
-    /**
-     * Classify every row of @p queries into @p out (out.size() >=
-     * queries.rows()). The base implementation loops predict();
-     * classifiers with a cheaper bulk path override it. Predictions
-     * are always identical to the looped single-query path.
-     */
-    virtual void predictBatch(const FeatureMatrix &queries,
-                              std::span<int> out) const;
-
     virtual std::string name() const = 0;
 
     /** Fraction of samples of @p data predicted correctly. */

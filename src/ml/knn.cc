@@ -5,7 +5,7 @@
 #include <limits>
 #include <utility>
 
-#include "simd/kernels.h"
+#include "simd/kernels_ref.h"
 #include "util/logging.h"
 
 namespace gpusc::ml {
@@ -20,11 +20,10 @@ void
 Knn::fit(const Dataset &data)
 {
     train_ = data;
-    const simd::Kernels &kn = simd::kernels();
     norms_.resize(train_.size());
     for (std::size_t i = 0; i < train_.size(); ++i)
         norms_[i] = std::sqrt(
-            kn.sumSquares(train_.x[i].data(), train_.dims()));
+            simd::ref::sumSquares(train_.x[i].data(), train_.dims()));
 }
 
 int
@@ -33,7 +32,6 @@ Knn::predict(std::span<const double> features) const
     if (train_.size() == 0)
         panic("Knn: predict() before fit()");
 
-    const simd::Kernels &kn = simd::kernels();
     const std::size_t k = std::min(k_, train_.size());
     // Pruning is only sound when the query lives in the training
     // space (norms cover the same dimensions the distance sums).
@@ -42,8 +40,8 @@ Knn::predict(std::span<const double> features) const
         std::min(features.size(), train_.dims());
     double queryNorm = 0.0;
     if (prune)
-        queryNorm =
-            std::sqrt(kn.sumSquares(features.data(), features.size()));
+        queryNorm = std::sqrt(
+            simd::ref::sumSquares(features.data(), features.size()));
 
     // The k best (squared distance, label) pairs, kept sorted
     // ascending by pair order — the same total order the reference
@@ -60,7 +58,7 @@ Knn::predict(std::span<const double> features) const
             if (gap * gap > worst)
                 continue;
         }
-        const double s = kn.l2sqEarlyExitGt(
+        const double s = simd::ref::l2sqEarlyExitGt(
             features.data(), train_.x[i].data(), nd, worst);
         if (s > worst)
             continue; // partial sum already past the k-th best

@@ -5,6 +5,7 @@
 #include <limits>
 #include <map>
 
+#include "simd/kernels_ref.h"
 #include "util/logging.h"
 
 namespace gpusc::ml {
@@ -45,12 +46,12 @@ NearestCentroid::match(std::span<const double> features) const
 {
     if (centroids_.empty())
         panic("NearestCentroid: match() before fit()");
-    const simd::Kernels &k = simd::kernels();
     Match best;
     if (features.size() == centroids_.dims()) {
         // Hot path: vector argmin over the packed panel (one sqrt at
         // the end; losers are abandoned via bound-pruned early exit).
-        const simd::Argmin a = k.argminL2(features.data(), panel_);
+        const simd::Argmin a =
+            simd::kernels().argminL2(features.data(), panel_);
         best.label = labels_[a.index];
         best.distance = std::sqrt(a.sq);
         return best;
@@ -61,7 +62,7 @@ NearestCentroid::match(std::span<const double> features) const
         std::min(features.size(), centroids_.dims());
     double bestSq = std::numeric_limits<double>::infinity();
     for (std::size_t c = 0; c < centroids_.rows(); ++c) {
-        const double s = k.l2sqEarlyExitGe(
+        const double s = simd::ref::l2sqEarlyExitGe(
             features.data(), centroids_[c].data(), nd, bestSq);
         if (s < bestSq) {
             bestSq = s;
@@ -84,27 +85,6 @@ NearestCentroid::predict(std::span<const double> features) const
                            .argminL2(features.data(), panel_)
                            .index];
     return match(features).label;
-}
-
-void
-NearestCentroid::predictBatch(const FeatureMatrix &queries,
-                              std::span<int> out) const
-{
-    if (out.size() < queries.rows())
-        panic("predictBatch: %zu outputs for %zu queries", out.size(),
-              queries.rows());
-    if (centroids_.empty())
-        panic("NearestCentroid: match() before fit()");
-    if (queries.rows() == 0)
-        return;
-    if (queries.dims() != centroids_.dims()) {
-        Classifier::predictBatch(queries, out);
-        return;
-    }
-    const simd::Kernels &k = simd::kernels();
-    for (std::size_t i = 0; i < queries.rows(); ++i)
-        out[i] =
-            labels_[k.argminL2(queries[i].data(), panel_).index];
 }
 
 void

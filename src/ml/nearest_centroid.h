@@ -27,8 +27,6 @@ class NearestCentroid : public Classifier
     void fit(const Dataset &data) override;
     int predict(std::span<const double> features) const override;
     using Classifier::predict;
-    void predictBatch(const FeatureMatrix &queries,
-                      std::span<int> out) const override;
     std::string name() const override { return "NearestCentroid"; }
 
     /** Prediction plus the distance to the winning centroid. */

@@ -10,32 +10,7 @@ namespace gpusc::simd {
 
 namespace {
 
-constexpr Kernels
-scalarTable()
-{
-    Kernels k;
-    k.l2sq = &ref::l2sq;
-    k.l2sqEarlyExitGe = &ref::l2sqEarlyExitGe;
-    k.l2sqEarlyExitGt = &ref::l2sqEarlyExitGt;
-    k.wl2sq = &ref::wl2sq;
-    k.dot = &ref::dot;
-    k.sumSquares = &ref::sumSquares;
-    k.l2sqToMany = &ref::l2sqToMany;
-    k.wl2sqToMany = &ref::wl2sqToMany;
-    k.argminL2 = &ref::argminL2;
-    k.argminWL2 = &ref::argminWL2;
-    k.l2sqTile = &ref::l2sqTile;
-    k.argmin = &ref::argmin;
-    return k;
-}
-
-const Kernels kScalar = scalarTable();
-
-struct Active
-{
-    const Kernels *table;
-    Backend backend;
-};
+const Kernels kScalar{&ref::argminL2, &ref::argminWL2};
 
 Backend
 bestBackend()

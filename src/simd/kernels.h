@@ -2,11 +2,10 @@
  * @file
  * Portable vector-kernel layer for the classifier hot paths.
  *
- * Exposes exactly the primitives the classifiers spend their time in:
- * squared-L2 distance with partial-sum early exit, batched
- * distance-to-many-centroids (one query x K rows, and M x K tiles),
- * dot/sum-of-squares, and argmin with first-wins tie-break. Three
- * backends implement the table:
+ * Exposes the two kernels the classifiers spend their time in:
+ * nearest panel row by squared L2 distance, plain and per-dimension
+ * weighted, with bound-pruned early exit and a first-wins tie-break.
+ * Three backends implement the table:
  *
  *  - Scalar: the pinned reference. Its loops are, operation for
  *    operation, the PR-5 hot-path rewrites that
@@ -20,10 +19,10 @@
  *    bit-identical, not merely close (pinned by
  *    tests/simd/kernel_conformance_test.cc).
  *
- * The per-pair kernels (l2sq / dot / sumSquares and the early-exit
- * variants) accumulate across *dimensions*, where any lane split
- * would reorder the floating-point sum; they stay scalar in every
- * backend by design. All the SIMD win lives in the Panel kernels.
+ * Per-pair reductions (one query against one row) accumulate across
+ * *dimensions*, where any lane split would reorder the floating-point
+ * sum; they are the same scalar loop in every backend, so callers use
+ * simd::ref directly and the table carries only the panel kernels.
  *
  * Backend selection: the build compiles whichever backends the
  * target architecture supports (see GPUSC_SIMD in CMake); at startup
@@ -57,52 +56,14 @@ struct Argmin
 /** Dispatch table of the kernel layer. */
 struct Kernels
 {
-    /** Full squared L2 distance, dimension order. */
-    double (*l2sq)(const double *a, const double *b,
-                   std::size_t dims) = nullptr;
-    /**
-     * Squared L2 with partial-sum early exit: abandons the sum as
-     * soon as it reaches (>=) @p bound and returns the partial sum
-     * (which is then >= bound and only meaningful as "not a
-     * winner"). Completed sums are bit-exact.
-     */
-    double (*l2sqEarlyExitGe)(const double *a, const double *b,
-                              std::size_t dims, double bound) = nullptr;
-    /** Same, but only abandons when the sum strictly exceeds (>)
-     *  @p bound — the KNN k-buffer keeps equal-distance candidates. */
-    double (*l2sqEarlyExitGt)(const double *a, const double *b,
-                              std::size_t dims, double bound) = nullptr;
-    /** Weighted squared L2: sum of ((a[d]-b[d]) * w[d])^2. */
-    double (*wl2sq)(const double *a, const double *b, const double *w,
-                    std::size_t dims) = nullptr;
-    double (*dot)(const double *a, const double *b,
-                  std::size_t dims) = nullptr;
-    double (*sumSquares)(const double *a, std::size_t dims) = nullptr;
-
-    /** out[k] = l2sq(query, panel row k) for every row. */
-    void (*l2sqToMany)(const double *query, const Panel &panel,
-                       double *out) = nullptr;
-    /** Weighted variant: out[k] = wl2sq(query, row k, weights). */
-    void (*wl2sqToMany)(const double *query, const double *weights,
-                        const Panel &panel, double *out) = nullptr;
     /** Nearest row by squared L2; ties break to the lowest index
      *  (strict-< winner scan), with bound-pruned early exit. */
     Argmin (*argminL2)(const double *query,
                        const Panel &panel) = nullptr;
-    /** Weighted nearest row (the SignatureModel classify kernel). */
+    /** Weighted nearest row, sum of ((q[d]-row[d]) * w[d])^2 (the
+     *  SignatureModel classify kernel). */
     Argmin (*argminWL2)(const double *query, const double *weights,
                         const Panel &panel) = nullptr;
-    /**
-     * M queries x K rows tile: out[m * outStride + k] = l2sq of
-     * query m against row k. Queries are row-major with @p qStride
-     * doubles between rows.
-     */
-    void (*l2sqTile)(const double *queries, std::size_t m,
-                     std::size_t qStride, const Panel &panel,
-                     double *out, std::size_t outStride) = nullptr;
-    /** First index of the strict minimum of @p n values. */
-    std::size_t (*argmin)(const double *values,
-                          std::size_t n) = nullptr;
 };
 
 enum class Backend

@@ -7,9 +7,7 @@
  * weight) multiply, square multiply, add — in the same dimension
  * order. Multiplies and adds are issued as separate intrinsics and
  * the TU is compiled with contraction off, so no FMA ever merges
- * them into a differently-rounded fused op. The across-dimension
- * per-pair reductions reuse the scalar reference directly (splitting
- * them over lanes would reorder the sum).
+ * them into a differently-rounded fused op.
  *
  * This TU is compiled with -mavx2 only when the target is x86-64 and
  * GPUSC_SIMD allows it; the dispatcher additionally checks cpuid at
@@ -21,8 +19,6 @@
 #if defined(GPUSC_SIMD_HAVE_AVX2)
 
 #include <immintrin.h>
-
-#include "simd/kernels_ref.h"
 
 namespace gpusc::simd::detail {
 
@@ -59,88 +55,6 @@ groupEnd(const Panel &panel)
     return stride >= kGroup ? stride - kGroup + 1 : 0;
 }
 
-template <bool Weighted>
-inline void
-toManyBody(const double *query, const double *weights,
-           const Panel &panel, double *out)
-{
-    const std::size_t rows = panel.rows();
-    const std::size_t dims = panel.dims();
-    std::size_t kb = 0;
-    for (const std::size_t end = groupEnd(panel); kb < end;
-         kb += kGroup) {
-        // Named accumulators: GCC keeps these in ymm registers where
-        // an indexed __m256d array would spill to the stack per
-        // iteration (-O2 does not unroll the block loop).
-        __m256d a0 = _mm256_setzero_pd();
-        __m256d a1 = _mm256_setzero_pd();
-        __m256d a2 = _mm256_setzero_pd();
-        __m256d a3 = _mm256_setzero_pd();
-        for (std::size_t d = 0; d < dims; ++d) {
-            const __m256d q = _mm256_set1_pd(query[d]);
-            const double *col = panel.col(d) + kb;
-            __m256d d0 = _mm256_sub_pd(q, _mm256_loadu_pd(col));
-            __m256d d1 =
-                _mm256_sub_pd(q, _mm256_loadu_pd(col + kLanes));
-            __m256d d2 =
-                _mm256_sub_pd(q, _mm256_loadu_pd(col + 2 * kLanes));
-            __m256d d3 =
-                _mm256_sub_pd(q, _mm256_loadu_pd(col + 3 * kLanes));
-            if constexpr (Weighted) {
-                const __m256d w = _mm256_set1_pd(weights[d]);
-                d0 = _mm256_mul_pd(d0, w);
-                d1 = _mm256_mul_pd(d1, w);
-                d2 = _mm256_mul_pd(d2, w);
-                d3 = _mm256_mul_pd(d3, w);
-            }
-            a0 = _mm256_add_pd(a0, _mm256_mul_pd(d0, d0));
-            a1 = _mm256_add_pd(a1, _mm256_mul_pd(d1, d1));
-            a2 = _mm256_add_pd(a2, _mm256_mul_pd(d2, d2));
-            a3 = _mm256_add_pd(a3, _mm256_mul_pd(d3, d3));
-        }
-        double sums[kGroup];
-        _mm256_storeu_pd(sums, a0);
-        _mm256_storeu_pd(sums + kLanes, a1);
-        _mm256_storeu_pd(sums + 2 * kLanes, a2);
-        _mm256_storeu_pd(sums + 3 * kLanes, a3);
-        const std::size_t lanes =
-            rows - kb < kGroup ? rows - kb : kGroup;
-        for (std::size_t lane = 0; lane < lanes; ++lane)
-            out[kb + lane] = sums[lane];
-    }
-    for (; kb < rows; kb += kLanes) {
-        __m256d acc = _mm256_setzero_pd();
-        for (std::size_t d = 0; d < dims; ++d) {
-            const __m256d q = _mm256_set1_pd(query[d]);
-            __m256d diff =
-                _mm256_sub_pd(q, _mm256_loadu_pd(panel.col(d) + kb));
-            if constexpr (Weighted)
-                diff = _mm256_mul_pd(diff,
-                                     _mm256_set1_pd(weights[d]));
-            acc = _mm256_add_pd(acc, _mm256_mul_pd(diff, diff));
-        }
-        double sums[kLanes];
-        _mm256_storeu_pd(sums, acc);
-        const std::size_t lanes =
-            rows - kb < kLanes ? rows - kb : kLanes;
-        for (std::size_t lane = 0; lane < lanes; ++lane)
-            out[kb + lane] = sums[lane];
-    }
-}
-
-void
-l2sqToManyAvx2(const double *query, const Panel &panel, double *out)
-{
-    toManyBody<false>(query, nullptr, panel, out);
-}
-
-void
-wl2sqToManyAvx2(const double *query, const double *weights,
-                const Panel &panel, double *out)
-{
-    toManyBody<true>(query, weights, panel, out);
-}
-
 /**
  * Shared argmin body. Pruning only ever *skips* rows whose partial
  * sums already reached the current best (padded lanes sit at +inf
@@ -160,8 +74,9 @@ argminBody(const double *query, const double *weights,
     std::size_t kb = 0;
     for (const std::size_t end = groupEnd(panel); kb < end;
          kb += kGroup) {
-        // Named accumulators for the same register-allocation reason
-        // as toManyBody.
+        // Named accumulators: GCC keeps these in ymm registers where
+        // an indexed __m256d array would spill to the stack per
+        // iteration (-O2 does not unroll the block loop).
         __m256d a0 = _mm256_setzero_pd();
         __m256d a1 = _mm256_setzero_pd();
         __m256d a2 = _mm256_setzero_pd();
@@ -265,42 +180,12 @@ argminWL2Avx2(const double *query, const double *weights,
     return argminBody<true>(query, weights, panel);
 }
 
-void
-l2sqTileAvx2(const double *queries, std::size_t m, std::size_t qStride,
-             const Panel &panel, double *out, std::size_t outStride)
-{
-    for (std::size_t q = 0; q < m; ++q)
-        l2sqToManyAvx2(queries + q * qStride, panel,
-                       out + q * outStride);
-}
-
-Kernels
-makeTable()
-{
-    Kernels k;
-    // Across-dimension reductions stay scalar by design (see file
-    // comment); the panel kernels carry the vector win.
-    k.l2sq = &ref::l2sq;
-    k.l2sqEarlyExitGe = &ref::l2sqEarlyExitGe;
-    k.l2sqEarlyExitGt = &ref::l2sqEarlyExitGt;
-    k.wl2sq = &ref::wl2sq;
-    k.dot = &ref::dot;
-    k.sumSquares = &ref::sumSquares;
-    k.l2sqToMany = &l2sqToManyAvx2;
-    k.wl2sqToMany = &wl2sqToManyAvx2;
-    k.argminL2 = &argminL2Avx2;
-    k.argminWL2 = &argminWL2Avx2;
-    k.l2sqTile = &l2sqTileAvx2;
-    k.argmin = &ref::argmin;
-    return k;
-}
-
 } // namespace
 
 const Kernels &
 avx2Table()
 {
-    static const Kernels table = makeTable();
+    static const Kernels table{&argminL2Avx2, &argminWL2Avx2};
     return table;
 }
 

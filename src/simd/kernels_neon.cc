@@ -14,60 +14,12 @@
 
 #include <arm_neon.h>
 
-#include "simd/kernels_ref.h"
-
 namespace gpusc::simd::detail {
 
 namespace {
 
 constexpr std::size_t kLanes = 2;
 constexpr std::size_t kExitCheckMask = 7;
-
-void
-l2sqToManyNeon(const double *query, const Panel &panel, double *out)
-{
-    const std::size_t rows = panel.rows();
-    const std::size_t dims = panel.dims();
-    for (std::size_t kb = 0; kb < rows; kb += kLanes) {
-        float64x2_t acc = vdupq_n_f64(0.0);
-        for (std::size_t d = 0; d < dims; ++d) {
-            const float64x2_t q = vdupq_n_f64(query[d]);
-            const float64x2_t c = vld1q_f64(panel.col(d) + kb);
-            const float64x2_t diff = vsubq_f64(q, c);
-            acc = vaddq_f64(acc, vmulq_f64(diff, diff));
-        }
-        double sums[kLanes];
-        vst1q_f64(sums, acc);
-        const std::size_t lanes =
-            rows - kb < kLanes ? rows - kb : kLanes;
-        for (std::size_t lane = 0; lane < lanes; ++lane)
-            out[kb + lane] = sums[lane];
-    }
-}
-
-void
-wl2sqToManyNeon(const double *query, const double *weights,
-                const Panel &panel, double *out)
-{
-    const std::size_t rows = panel.rows();
-    const std::size_t dims = panel.dims();
-    for (std::size_t kb = 0; kb < rows; kb += kLanes) {
-        float64x2_t acc = vdupq_n_f64(0.0);
-        for (std::size_t d = 0; d < dims; ++d) {
-            const float64x2_t q = vdupq_n_f64(query[d]);
-            const float64x2_t w = vdupq_n_f64(weights[d]);
-            const float64x2_t c = vld1q_f64(panel.col(d) + kb);
-            const float64x2_t diff = vmulq_f64(vsubq_f64(q, c), w);
-            acc = vaddq_f64(acc, vmulq_f64(diff, diff));
-        }
-        double sums[kLanes];
-        vst1q_f64(sums, acc);
-        const std::size_t lanes =
-            rows - kb < kLanes ? rows - kb : kLanes;
-        for (std::size_t lane = 0; lane < lanes; ++lane)
-            out[kb + lane] = sums[lane];
-    }
-}
 
 template <bool Weighted>
 Argmin
@@ -124,40 +76,12 @@ argminWL2Neon(const double *query, const double *weights,
     return argminBody<true>(query, weights, panel);
 }
 
-void
-l2sqTileNeon(const double *queries, std::size_t m, std::size_t qStride,
-             const Panel &panel, double *out, std::size_t outStride)
-{
-    for (std::size_t q = 0; q < m; ++q)
-        l2sqToManyNeon(queries + q * qStride, panel,
-                       out + q * outStride);
-}
-
-Kernels
-makeTable()
-{
-    Kernels k;
-    k.l2sq = &ref::l2sq;
-    k.l2sqEarlyExitGe = &ref::l2sqEarlyExitGe;
-    k.l2sqEarlyExitGt = &ref::l2sqEarlyExitGt;
-    k.wl2sq = &ref::wl2sq;
-    k.dot = &ref::dot;
-    k.sumSquares = &ref::sumSquares;
-    k.l2sqToMany = &l2sqToManyNeon;
-    k.wl2sqToMany = &wl2sqToManyNeon;
-    k.argminL2 = &argminL2Neon;
-    k.argminWL2 = &argminWL2Neon;
-    k.l2sqTile = &l2sqTileNeon;
-    k.argmin = &ref::argmin;
-    return k;
-}
-
 } // namespace
 
 const Kernels &
 neonTable()
 {
-    static const Kernels table = makeTable();
+    static const Kernels table{&argminL2Neon, &argminWL2Neon};
     return table;
 }
 

@@ -1,12 +1,13 @@
 /**
  * @file
- * The scalar reference kernels, shared by every backend TU.
+ * The scalar reference kernels.
  *
  * These inline loops ARE the contract: the scalar backend's table
- * points straight at them, and the vector backends call them for
- * per-pair (across-dimension) reductions and for their own result
- * verification in the conformance tests. Keep them boring — each one
- * is the exact operation sequence of the PR-5 classifier hot paths.
+ * points straight at the argmin kernels, the classifiers call the
+ * per-pair (across-dimension) reductions directly, and the
+ * conformance tests check every vector backend against them. Keep
+ * them boring — each one is the exact operation sequence of the
+ * classifier hot paths that tests/ml/knn_regression_test.cc pins.
  */
 
 #ifndef GPUSC_SIMD_KERNELS_REF_H
@@ -19,17 +20,12 @@
 
 namespace gpusc::simd::ref {
 
-inline double
-l2sq(const double *a, const double *b, std::size_t dims)
-{
-    double s = 0.0;
-    for (std::size_t d = 0; d < dims; ++d) {
-        const double diff = a[d] - b[d];
-        s += diff * diff;
-    }
-    return s;
-}
-
+/**
+ * Squared L2 with partial-sum early exit: abandons the sum as soon as
+ * it reaches (>=) @p bound and returns the partial sum (which is then
+ * >= bound and only meaningful as "not a winner"). Completed sums are
+ * bit-exact.
+ */
 inline double
 l2sqEarlyExitGe(const double *a, const double *b, std::size_t dims,
                 double bound)
@@ -44,6 +40,8 @@ l2sqEarlyExitGe(const double *a, const double *b, std::size_t dims,
     return s;
 }
 
+/** Same, but only abandons when the sum strictly exceeds (>)
+ *  @p bound — the KNN k-buffer keeps equal-distance candidates. */
 inline double
 l2sqEarlyExitGt(const double *a, const double *b, std::size_t dims,
                 double bound)
@@ -59,61 +57,12 @@ l2sqEarlyExitGt(const double *a, const double *b, std::size_t dims,
 }
 
 inline double
-wl2sq(const double *a, const double *b, const double *w,
-      std::size_t dims)
-{
-    double s = 0.0;
-    for (std::size_t d = 0; d < dims; ++d) {
-        const double diff = (a[d] - b[d]) * w[d];
-        s += diff * diff;
-    }
-    return s;
-}
-
-inline double
-dot(const double *a, const double *b, std::size_t dims)
-{
-    double s = 0.0;
-    for (std::size_t d = 0; d < dims; ++d)
-        s += a[d] * b[d];
-    return s;
-}
-
-inline double
 sumSquares(const double *a, std::size_t dims)
 {
     double s = 0.0;
     for (std::size_t d = 0; d < dims; ++d)
         s += a[d] * a[d];
     return s;
-}
-
-inline void
-l2sqToMany(const double *query, const Panel &panel, double *out)
-{
-    for (std::size_t k = 0; k < panel.rows(); ++k) {
-        double s = 0.0;
-        for (std::size_t d = 0; d < panel.dims(); ++d) {
-            const double diff = query[d] - panel.col(d)[k];
-            s += diff * diff;
-        }
-        out[k] = s;
-    }
-}
-
-inline void
-wl2sqToMany(const double *query, const double *weights,
-            const Panel &panel, double *out)
-{
-    for (std::size_t k = 0; k < panel.rows(); ++k) {
-        double s = 0.0;
-        for (std::size_t d = 0; d < panel.dims(); ++d) {
-            const double diff =
-                (query[d] - panel.col(d)[k]) * weights[d];
-            s += diff * diff;
-        }
-        out[k] = s;
-    }
 }
 
 inline Argmin
@@ -161,26 +110,6 @@ argminWL2(const double *query, const double *weights,
             best.index = k;
         }
     }
-    return best;
-}
-
-inline void
-l2sqTile(const double *queries, std::size_t m, std::size_t qStride,
-         const Panel &panel, double *out, std::size_t outStride)
-{
-    for (std::size_t q = 0; q < m; ++q)
-        l2sqToMany(queries + q * qStride, panel, out + q * outStride);
-}
-
-inline std::size_t
-argmin(const double *values, std::size_t n)
-{
-    if (n == 0)
-        return Argmin::npos;
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < n; ++i)
-        if (values[i] < values[best])
-            best = i;
     return best;
 }
 

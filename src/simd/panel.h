@@ -2,8 +2,8 @@
  * @file
  * Packed column-major centroid panel for the vector kernels.
  *
- * The batched distance kernels vectorise *across rows* (one SIMD lane
- * per centroid / training point), never across dimensions: each
+ * The argmin kernels vectorise *across rows* (one SIMD lane per
+ * centroid / training point), never across dimensions: each
  * lane's partial sum then accumulates in exactly the scalar dimension
  * order, which is what keeps every backend bit-identical to the
  * scalar reference. That lane layout wants the data transposed:

@@ -8,10 +8,8 @@ Session::Session(SessionId id, const attack::SignatureModel &base,
       telemetry_(config.telemetry), ring_(config.ringCapacity),
       telemetryRingBytes_(
           config.telemetry.spanCapacity * sizeof(obs::Span) +
-          config.telemetry.auditCapacity * sizeof(obs::AuditRecord)),
-      drainBatch_(config.drainBatch > 0 ? config.drainBatch : 1)
+          config.telemetry.auditCapacity * sizeof(obs::AuditRecord))
 {
-    scratch_.reserve(drainBatch_);
     attack::Eavesdropper::Params params = config.eavesdropper;
     params.telemetry = &telemetry_;
     eavesdropper_ =
@@ -30,25 +28,11 @@ Session::Session(SessionId id, const attack::SignatureModel &base,
 std::size_t
 Session::drain()
 {
-    // Pop up to drainBatch readings at a time and feed them through
-    // the batch entry point — identical pipeline results to feeding
-    // one reading per call, with the per-call overhead paid once per
-    // batch.
     std::size_t n = 0;
     attack::Reading r;
-    scratch_.clear();
     while (ring_.tryPop(r)) {
-        scratch_.push_back(r);
-        if (scratch_.size() >= drainBatch_) {
-            eavesdropper_->feedReadings(scratch_);
-            n += scratch_.size();
-            scratch_.clear();
-        }
-    }
-    if (!scratch_.empty()) {
-        eavesdropper_->feedReadings(scratch_);
-        n += scratch_.size();
-        scratch_.clear();
+        eavesdropper_->feedReading(r);
+        ++n;
     }
     drained_ += n;
     return n;

@@ -8,7 +8,7 @@
  *  - a detached attack::Eavesdropper consuming readings through
  *    feedReading() — the identical code path trace::TraceReplayer
  *    uses, which is what makes single-session ingest bit-identical
- *    to batch replay,
+ *    to trace replay,
  *  - a bounded SpscRing of pending readings (the ingest queue),
  *  - an optional TemplateUpdater wired to the eavesdropper's
  *    accept listener,
@@ -43,12 +43,6 @@ struct SessionConfig
 {
     /** Ingest queue depth, readings. */
     std::size_t ringCapacity = 256;
-    /**
-     * Readings popped from the ring per feedReadings() call when
-     * draining (clamped to >= 1). Batching amortises the per-call
-     * pipeline entry; results are bit-identical for any batch size.
-     */
-    std::size_t drainBatch = 64;
     /**
      * Pipeline knobs for the per-session eavesdropper. The telemetry
      * field is ignored — each session gets its own context.
@@ -153,9 +147,6 @@ class Session
     obs::Telemetry telemetry_;
     SpscRing<attack::Reading> ring_;
     std::size_t telemetryRingBytes_;
-    std::size_t drainBatch_;
-    /** Drain scratch: readings popped this round, fed as one batch. */
-    std::vector<attack::Reading> scratch_;
     std::uint64_t drained_ = 0;
     std::uint64_t shedOldest_ = 0;
     std::uint64_t shedNewest_ = 0;

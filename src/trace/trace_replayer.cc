@@ -51,21 +51,6 @@ TraceReplayer::replay(TraceReader &reader)
         panic("TraceReplayer: neither model nor store available");
     }
 
-    // Consecutive Reading records are accumulated and drained through
-    // the batch entry point; any other record kind flushes first so
-    // ordering against trial markers is preserved. Bit-identical to
-    // feeding one reading at a time.
-    const std::size_t replayBatch =
-        params_.readingBatch > 0 ? params_.readingBatch : 256;
-    std::vector<attack::Reading> batch;
-    batch.reserve(replayBatch);
-    auto flush = [&] {
-        if (batch.empty())
-            return;
-        eavesdropper_->feedReadings(batch);
-        batch.clear();
-    };
-
     TraceRecord rec;
     bool eof = false;
     bool inTrial = false;
@@ -75,14 +60,10 @@ TraceReplayer::replay(TraceReader &reader)
             return err;
         if (eof)
             break;
-        if (rec.kind != RecordKind::Reading)
-            flush();
         switch (rec.kind) {
           case RecordKind::Reading:
             ++readings_;
-            batch.push_back(rec.reading);
-            if (batch.size() >= replayBatch)
-                flush();
+            eavesdropper_->feedReading(rec.reading);
             break;
           case RecordKind::TrialBegin:
             trials_.push_back(
@@ -105,7 +86,6 @@ TraceReplayer::replay(TraceReader &reader)
             break; // other ground truth is not needed for replay
         }
     }
-    flush();
 
     // The stream is fully fed: push the batched telemetry tallies
     // out so exported metrics are exact for this replay.

@@ -56,7 +56,15 @@ class ByteWriter
 
     void raw(const std::uint8_t *p, std::size_t n)
     {
-        buf_.insert(buf_.end(), p, p + n);
+        // resize + memcpy rather than a range insert: GCC 12 at -O3
+        // reports a false -Wstringop-overflow on the inlined insert.
+        // Empty appends return first, so a null @p p never reaches
+        // memcpy.
+        if (n == 0)
+            return;
+        const std::size_t at = buf_.size();
+        buf_.resize(at + n);
+        std::memcpy(buf_.data() + at, p, n);
     }
 
     const std::vector<std::uint8_t> &bytes() const { return buf_; }

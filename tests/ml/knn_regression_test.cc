@@ -16,14 +16,12 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
 
 #include "attack/signature.h"
 #include "ml/knn.h"
-#include "ml/naive_bayes.h"
 #include "ml/nearest_centroid.h"
 #include "ml/random_forest.h"
 #include "simd/kernels.h"
@@ -337,74 +335,6 @@ randomSignatureModel(Rng &rng, int classes)
     return model;
 }
 
-TEST(BatchConformanceTest, PredictBatchMatchesLoopedPredict)
-{
-    Rng rng(90216);
-    const Dataset data = randomDataset(rng, 80, 5, 4);
-    FeatureMatrix queries;
-    for (int t = 0; t < 64; ++t)
-        queries.addRow(randomQuery(rng, data.dims(), false));
-
-    std::vector<std::unique_ptr<Classifier>> classifiers;
-    classifiers.push_back(std::make_unique<Knn>(3));
-    classifiers.push_back(std::make_unique<NearestCentroid>());
-    classifiers.push_back(std::make_unique<RandomForest>());
-    classifiers.push_back(std::make_unique<GaussianNaiveBayes>());
-    for (const auto &c : classifiers) {
-        c->fit(data);
-        std::vector<int> batch(queries.rows());
-        c->predictBatch(queries, batch);
-        for (std::size_t i = 0; i < queries.rows(); ++i)
-            EXPECT_EQ(batch[i], c->predict(queries[i]))
-                << c->name() << " query " << i;
-
-        // Degenerate batches: empty and single-row.
-        const FeatureMatrix none;
-        std::vector<int> noOut;
-        c->predictBatch(none, noOut);
-        EXPECT_TRUE(noOut.empty()) << c->name();
-
-        FeatureMatrix one;
-        one.addRow(queries[0]);
-        std::vector<int> oneOut(1, -2);
-        c->predictBatch(one, oneOut);
-        EXPECT_EQ(oneOut[0], c->predict(queries[0])) << c->name();
-    }
-}
-
-TEST(BatchConformanceTest, SignatureClassifyBatchMatchesSingle)
-{
-    Rng rng(90217);
-    const attack::SignatureModel model = randomSignatureModel(rng, 40);
-
-    std::vector<gpu::CounterVec> deltas(96);
-    for (gpu::CounterVec &d : deltas)
-        for (std::int64_t &v : d)
-            v = rng.uniformInt(0, 400);
-
-    std::vector<attack::SignatureModel::Match> batch(deltas.size());
-    model.classifyBatch(deltas, batch);
-    for (std::size_t i = 0; i < deltas.size(); ++i) {
-        const attack::SignatureModel::Match one =
-            model.classify(deltas[i]);
-        EXPECT_EQ(batch[i].sig, one.sig) << "query " << i;
-        EXPECT_EQ(batch[i].distance, one.distance) << "query " << i;
-    }
-
-    model.classifyRobustBatch(deltas, batch);
-    for (std::size_t i = 0; i < deltas.size(); ++i) {
-        const attack::SignatureModel::Match one =
-            model.classifyRobust(deltas[i]);
-        EXPECT_EQ(batch[i].sig, one.sig) << "robust query " << i;
-        EXPECT_EQ(batch[i].distance, one.distance)
-            << "robust query " << i;
-    }
-
-    // Empty batch is a no-op.
-    model.classifyBatch({}, {});
-    model.classifyRobustBatch({}, {});
-}
-
 TEST(BackendConformanceTest, CentroidMatchesIdenticalAcrossBackends)
 {
     Rng rng(90218);
@@ -457,18 +387,19 @@ TEST(BackendConformanceTest, SignatureClassifyIdenticalAcrossBackends)
             for (std::int64_t &v : d)
                 v = rng.uniformInt(0, 400);
 
-        std::vector<attack::SignatureModel::Match> want(deltas.size());
+        std::vector<attack::SignatureModel::Match> want;
         {
             const BackendGuard guard(simd::Backend::Scalar);
             ASSERT_TRUE(guard.ok());
-            model.classifyBatch(deltas, want);
+            for (const gpu::CounterVec &d : deltas)
+                want.push_back(model.classify(d));
         }
         for (const simd::Backend b : availableBackends()) {
             const BackendGuard guard(b);
             ASSERT_TRUE(guard.ok());
-            std::vector<attack::SignatureModel::Match> got(
-                deltas.size());
-            model.classifyBatch(deltas, got);
+            std::vector<attack::SignatureModel::Match> got;
+            for (const gpu::CounterVec &d : deltas)
+                got.push_back(model.classify(d));
             for (std::size_t i = 0; i < deltas.size(); ++i) {
                 EXPECT_EQ(got[i].sig, want[i].sig)
                     << simd::backendName(b) << " classes=" << classes

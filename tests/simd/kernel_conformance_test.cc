@@ -97,23 +97,6 @@ TEST(KernelConformanceTest, PanelKernelsMatchReferenceBitExact)
                 ASSERT_TRUE(guard.ok());
                 const Kernels &k = kernels();
                 for (const std::vector<double> &q : queries) {
-                    std::vector<double> got(rows), want(rows);
-                    k.l2sqToMany(q.data(), panel, got.data());
-                    ref::l2sqToMany(q.data(), panel, want.data());
-                    for (std::size_t r = 0; r < rows; ++r)
-                        EXPECT_TRUE(sameBits(got[r], want[r]))
-                            << backendName(b) << " l2sqToMany rows="
-                            << rows << " dims=" << dims << " r=" << r;
-
-                    k.wl2sqToMany(q.data(), weights.data(), panel,
-                                  got.data());
-                    ref::wl2sqToMany(q.data(), weights.data(), panel,
-                                     want.data());
-                    for (std::size_t r = 0; r < rows; ++r)
-                        EXPECT_TRUE(sameBits(got[r], want[r]))
-                            << backendName(b) << " wl2sqToMany rows="
-                            << rows << " dims=" << dims << " r=" << r;
-
                     const Argmin ga = k.argminL2(q.data(), panel);
                     const Argmin wa = ref::argminL2(q.data(), panel);
                     EXPECT_EQ(ga.index, wa.index)
@@ -134,73 +117,6 @@ TEST(KernelConformanceTest, PanelKernelsMatchReferenceBitExact)
                         << backendName(b) << " argminWL2 rows=" << rows
                         << " dims=" << dims;
                 }
-
-                // M x K tile against the per-query reference.
-                const std::size_t m = queries.size();
-                std::vector<double> qblock(m * dims);
-                for (std::size_t q = 0; q < m; ++q)
-                    std::copy(queries[q].begin(), queries[q].end(),
-                              qblock.begin() + std::ptrdiff_t(q * dims));
-                std::vector<double> gotTile(m * rows),
-                    wantTile(m * rows);
-                if (rows > 0) {
-                    k.l2sqTile(qblock.data(), m, dims, panel,
-                               gotTile.data(), rows);
-                    ref::l2sqTile(qblock.data(), m, dims, panel,
-                                  wantTile.data(), rows);
-                    for (std::size_t i = 0; i < m * rows; ++i)
-                        EXPECT_TRUE(sameBits(gotTile[i], wantTile[i]))
-                            << backendName(b) << " l2sqTile rows="
-                            << rows << " dims=" << dims << " i=" << i;
-                }
-            }
-        }
-    }
-}
-
-TEST(KernelConformanceTest, PairKernelsMatchReferenceBitExact)
-{
-    Rng rng(777002);
-    for (const std::size_t dims : kDimCounts) {
-        const std::vector<double> a = randomBlock(rng, dims);
-        const std::vector<double> b2 = randomBlock(rng, dims);
-        const std::vector<double> w = randomBlock(rng, dims);
-        const double full = ref::l2sq(a.data(), b2.data(), dims);
-        // Bounds: never-exits, exact-sum (Ge exits, Gt completes),
-        // and always-exits-immediately.
-        const double bounds[] = {
-            std::numeric_limits<double>::infinity(), full, 0.0};
-
-        for (const Backend b : availableBackends()) {
-            const BackendGuard guard(b);
-            ASSERT_TRUE(guard.ok());
-            const Kernels &k = kernels();
-            EXPECT_TRUE(sameBits(k.l2sq(a.data(), b2.data(), dims),
-                                 full))
-                << backendName(b) << " dims=" << dims;
-            EXPECT_TRUE(sameBits(
-                k.wl2sq(a.data(), b2.data(), w.data(), dims),
-                ref::wl2sq(a.data(), b2.data(), w.data(), dims)))
-                << backendName(b) << " dims=" << dims;
-            EXPECT_TRUE(sameBits(k.dot(a.data(), b2.data(), dims),
-                                 ref::dot(a.data(), b2.data(), dims)))
-                << backendName(b) << " dims=" << dims;
-            EXPECT_TRUE(sameBits(k.sumSquares(a.data(), dims),
-                                 ref::sumSquares(a.data(), dims)))
-                << backendName(b) << " dims=" << dims;
-            for (const double bound : bounds) {
-                EXPECT_TRUE(sameBits(
-                    k.l2sqEarlyExitGe(a.data(), b2.data(), dims, bound),
-                    ref::l2sqEarlyExitGe(a.data(), b2.data(), dims,
-                                         bound)))
-                    << backendName(b) << " dims=" << dims
-                    << " bound=" << bound;
-                EXPECT_TRUE(sameBits(
-                    k.l2sqEarlyExitGt(a.data(), b2.data(), dims, bound),
-                    ref::l2sqEarlyExitGt(a.data(), b2.data(), dims,
-                                         bound)))
-                    << backendName(b) << " dims=" << dims
-                    << " bound=" << bound;
             }
         }
     }
@@ -227,17 +143,6 @@ TEST(KernelConformanceTest, ArgminTiesBreakToLowestIndex)
         const Argmin got = kernels().argminL2(rowA.data(), panel);
         EXPECT_EQ(got.index, 1u) << backendName(b);
         EXPECT_EQ(got.sq, 0.0) << backendName(b);
-    }
-
-    // Flat-array argmin: first strict minimum wins.
-    const std::vector<double> vals = {3.0, 1.0, 1.0, 2.0};
-    for (const Backend b : availableBackends()) {
-        const BackendGuard guard(b);
-        ASSERT_TRUE(guard.ok());
-        EXPECT_EQ(kernels().argmin(vals.data(), vals.size()), 1u)
-            << backendName(b);
-        EXPECT_EQ(kernels().argmin(vals.data(), 0), Argmin::npos)
-            << backendName(b);
     }
 }
 
@@ -280,15 +185,8 @@ TEST(KernelConformanceTest, ScalarBackendIsTheReferenceTable)
     const BackendGuard guard(Backend::Scalar);
     ASSERT_TRUE(guard.ok());
     const Kernels &k = kernels();
-    EXPECT_EQ(k.l2sq, &ref::l2sq);
-    EXPECT_EQ(k.l2sqEarlyExitGe, &ref::l2sqEarlyExitGe);
-    EXPECT_EQ(k.l2sqEarlyExitGt, &ref::l2sqEarlyExitGt);
-    EXPECT_EQ(k.wl2sq, &ref::wl2sq);
-    EXPECT_EQ(k.dot, &ref::dot);
-    EXPECT_EQ(k.sumSquares, &ref::sumSquares);
     EXPECT_EQ(k.argminL2, &ref::argminL2);
     EXPECT_EQ(k.argminWL2, &ref::argminWL2);
-    EXPECT_EQ(k.argmin, &ref::argmin);
 }
 
 } // namespace

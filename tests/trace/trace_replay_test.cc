@@ -48,8 +48,8 @@ recordRun(RecordedRun &run, const std::string &name,
     for (const std::string &cred : credentials)
         run.live.push_back(runner.runTrial(cred));
     run.model = runner.model();
-    ASSERT_NE(runner.recorder(), nullptr) << "record mode not active";
-    run.readings = runner.recorder()->readingCount();
+    ASSERT_TRUE(runner.recording()) << "record mode not active";
+    run.readings = runner.recordedReadings();
     EXPECT_EQ(runner.finishRecording(), TraceError::None);
 }
 
