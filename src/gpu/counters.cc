@@ -55,9 +55,44 @@ counterName(SelectedCounter c)
 std::optional<SelectedCounter>
 selectedFromId(CounterId id)
 {
-    for (std::size_t i = 0; i < kNumSelectedCounters; ++i)
-        if (descs()[i].id == id)
-            return SelectedCounter(i);
+    // Every kgsl READ entry lands here, so this is a switch rather
+    // than a scan of descs(); counters_test checks the two agree.
+    switch (CounterGroup(id.group)) {
+      case CounterGroup::LRZ:
+        switch (id.countable) {
+          case 13:
+            return LRZ_VISIBLE_PRIM_AFTER_LRZ;
+          case 14:
+            return LRZ_FULL_8X8_TILES;
+          case 15:
+            return LRZ_PARTIAL_8X8_TILES;
+          case 18:
+            return LRZ_VISIBLE_PIXEL_AFTER_LRZ;
+        }
+        break;
+      case CounterGroup::RAS:
+        switch (id.countable) {
+          case 1:
+            return RAS_SUPERTILE_ACTIVE_CYCLES;
+          case 4:
+            return RAS_SUPER_TILES;
+          case 5:
+            return RAS_8X4_TILES;
+          case 8:
+            return RAS_FULLY_COVERED_8X4_TILES;
+        }
+        break;
+      case CounterGroup::VPC:
+        switch (id.countable) {
+          case 9:
+            return VPC_PC_PRIMITIVES;
+          case 10:
+            return VPC_SP_COMPONENTS;
+          case 12:
+            return VPC_LRZ_ASSIGN_PRIMITIVES;
+        }
+        break;
+    }
     return std::nullopt;
 }
 

@@ -18,17 +18,22 @@
 
 namespace gpusc::gpu {
 
+/**
+ * Side of the square block the LRZ unit tests, in pixels, on every
+ * supported generation (the PERF_LRZ_*_8X8_TILES counter names encode
+ * it). gpu::Pipeline keeps one 64-bit coverage word per block.
+ */
+inline constexpr int kLrzTile = 8;
+
 /** Static description of one Adreno GPU generation. */
 struct GpuModel
 {
     std::string name;         ///< e.g. "Adreno 650"
     int generation = 0;       ///< e.g. 650
 
-    // Tile geometry. LRZ operates on 8x8 blocks and the rasteriser on
-    // 8x4 blocks on all supported generations (the counter names
-    // encode this); the supertile (bin) size grows with generation.
-    int lrzTileW = 8;
-    int lrzTileH = 8;
+    // Tile geometry. The rasteriser works on 8x4 blocks on all
+    // supported generations (the counter names encode this); the
+    // supertile (bin) size grows with generation.
     int rasTileW = 8;
     int rasTileH = 4;
     int superTileW = 32;

@@ -10,11 +10,15 @@
  *  - RAS: rasterisation runs before depth rejection, so every quad
  *    counts its touched 8x4 tiles, fully covered 8x4 tiles, touched
  *    supertiles and active cycles regardless of occlusion.
- *  - LRZ: primitives are tested front-to-back against an opaque
- *    coverage mask; only pixels not hidden by opaque geometry above
- *    survive, producing the occlusion-sensitive counters the attack
- *    keys on (visible prims / visible pixels / full & partial 8x8
- *    tiles of the rendered output).
+ *  - LRZ: primitives are tested front-to-back against the opaque
+ *    coverage accumulated from the layers above; only pixels not
+ *    hidden by it survive, producing the occlusion-sensitive counters
+ *    the attack keys on (visible prims / visible pixels / full &
+ *    partial 8x8 tiles of the rendered output). Coverage is one
+ *    64-bit word per kLrzTile x kLrzTile tile of the damage box (bit
+ *    row * 8 + col), so a primitive is tested a tile at a time.
+ *    tests/gpu/lrz_reference.h keeps the per-pixel loop it replaced
+ *    as the reference the tests compare against.
  *
  * This is where GPU *overdraw* (paper §2.1) turns into counter values.
  */
@@ -53,10 +57,9 @@ class Pipeline
 
   private:
     const GpuModel &model_;
-    // Scratch per-pixel masks over the damage box, reused across
-    // frames. Bit 0: covered by opaque geometry above (occluder);
-    // bit 1: drawn by any visible fragment.
-    std::vector<std::uint8_t> mask_;
+    // Opaque coverage of the damage box's LRZ tiles, row-major, one
+    // word per tile; reused across frames.
+    std::vector<std::uint64_t> occupancy_;
 };
 
 } // namespace gpusc::gpu

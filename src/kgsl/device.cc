@@ -58,12 +58,11 @@ KgslDevice::totalReservations() const
 bool
 hardwareImplementsCounter(std::uint32_t groupid, std::uint32_t countable)
 {
-    // The selected 11 countables...
-    if (gpu::selectedFromId({groupid, countable}))
-        return true;
-    // ...plus the rest of each group's countable space (real groups
-    // have a few dozen countables; we expose a plausible range so the
-    // enumeration step of §3.3 has something to iterate over).
+    // Each group's countable space. Real groups have a few dozen
+    // countables; we expose a plausible range so the enumeration step
+    // of §3.3 has something to iterate over. The ranges hold the
+    // selected 11 (KgslHardwareTest.ImplementedCountables), so no
+    // counter lookup is needed here.
     switch (groupid) {
       case KGSL_PERFCOUNTER_GROUP_VPC:
         return countable < 24;

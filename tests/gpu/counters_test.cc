@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+
 #include "gpu/counters.h"
 
 namespace gpusc::gpu {
@@ -50,6 +52,21 @@ TEST(CountersTest, ReverseLookupRejectsUnknown)
 {
     EXPECT_FALSE(selectedFromId({0x19, 99}).has_value());
     EXPECT_FALSE(selectedFromId({0x42, 13}).has_value());
+}
+
+TEST(CountersTest, ReverseLookupAgreesWithTable1OnEveryId)
+{
+    for (std::uint32_t group = 0; group < 0x40; ++group) {
+        for (std::uint32_t countable = 0; countable < 64; ++countable) {
+            const CounterId id{group, countable};
+            std::optional<SelectedCounter> want;
+            for (std::size_t i = 0; i < kNumSelectedCounters; ++i)
+                if (counterId(SelectedCounter(i)) == id)
+                    want = SelectedCounter(i);
+            EXPECT_EQ(selectedFromId(id), want)
+                << "group " << group << ", countable " << countable;
+        }
+    }
 }
 
 TEST(CountersTest, GroupLabels)

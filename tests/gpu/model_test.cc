@@ -29,10 +29,9 @@ TEST(GpuModelTest, GenerationsDiffer)
 TEST(GpuModelTest, LrzAndRasTilesMatchCounterNames)
 {
     // The counter names encode 8x8 (LRZ) and 8x4 (RAS) tiles.
+    EXPECT_EQ(kLrzTile, 8);
     for (int gen : supportedAdrenoGenerations()) {
         const GpuModel &m = adrenoModel(gen);
-        EXPECT_EQ(m.lrzTileW, 8);
-        EXPECT_EQ(m.lrzTileH, 8);
         EXPECT_EQ(m.rasTileW, 8);
         EXPECT_EQ(m.rasTileH, 4);
     }

@@ -6,31 +6,67 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "gpu/model.h"
 #include "gpu/pipeline.h"
+#include "lrz_reference.h"
 #include "util/rng.h"
 
 namespace gpusc::gpu {
 namespace {
 
+/**
+ * A random frame: damage boxes on and off the 8-pixel LRZ grid, some
+ * smaller than one tile; quads of any size, 1x1 and screen-sized
+ * quads; quads overhanging the damage, stored unclipped so that the
+ * pipeline's own clip runs; translucent quads over opaque ones.
+ */
 gfx::FrameScene
 randomScene(Rng &rng, int maxPrims)
 {
     gfx::FrameScene s;
-    const int w = 64 + int(rng.uniformInt(0, 400));
-    const int h = 64 + int(rng.uniformInt(0, 400));
+    const bool small = rng.bernoulli(0.15);
+    const int w = small ? 1 + int(rng.uniformInt(0, 15))
+                        : 64 + int(rng.uniformInt(0, 400));
+    const int h = small ? 1 + int(rng.uniformInt(0, 15))
+                        : 64 + int(rng.uniformInt(0, 400));
     s.damage = gfx::Rect::ofSize(int(rng.uniformInt(0, 50)),
                                  int(rng.uniformInt(0, 50)), w, h);
+    const gfx::Rect &dmg = s.damage;
     const int prims = 1 + int(rng.uniformInt(0, maxPrims - 1));
     for (int i = 0; i < prims; ++i) {
-        const int pw = 1 + int(rng.uniformInt(0, w));
-        const int ph = 1 + int(rng.uniformInt(0, h));
-        const int px =
-            s.damage.x0 + int(rng.uniformInt(-20, std::int64_t(w)));
-        const int py =
-            s.damage.y0 + int(rng.uniformInt(-20, std::int64_t(h)));
-        s.add(gfx::Rect::ofSize(px, py, pw, ph), rng.bernoulli(0.8),
-              gfx::PrimTag::AppContent);
+        const bool opaque = rng.bernoulli(0.8);
+        const double kind = rng.uniform();
+        if (kind < 0.1) {
+            s.add(gfx::Rect::ofSize(
+                      dmg.x0 + int(rng.uniformInt(0, w - 1)),
+                      dmg.y0 + int(rng.uniformInt(0, h - 1)), 1, 1),
+                  opaque, gfx::PrimTag::AppContent);
+        } else if (kind < 0.15) {
+            s.prims.push_back(gfx::Prim{gfx::Rect{0, 0, 1440, 3200},
+                                        opaque, gfx::PrimTag::AppContent});
+        } else if (kind < 0.3) {
+            // Any position that still meets the damage box.
+            const int pw = 1 + int(rng.uniformInt(0, w + 40));
+            const int ph = 1 + int(rng.uniformInt(0, h + 40));
+            const int px = int(rng.uniformInt(dmg.x0 - pw + 1, dmg.x1 - 1));
+            const int py = int(rng.uniformInt(dmg.y0 - ph + 1, dmg.y1 - 1));
+            s.prims.push_back(gfx::Prim{gfx::Rect::ofSize(px, py, pw, ph),
+                                        opaque, gfx::PrimTag::AppContent});
+        } else if (kind < 0.4 && !s.prims.empty()) {
+            s.prims.push_back(gfx::Prim{s.prims.back().rect, false,
+                                        gfx::PrimTag::AppContent});
+        } else {
+            const int pw = 1 + int(rng.uniformInt(0, w));
+            const int ph = 1 + int(rng.uniformInt(0, h));
+            const int px =
+                dmg.x0 + int(rng.uniformInt(-20, std::int64_t(w)));
+            const int py =
+                dmg.y0 + int(rng.uniformInt(-20, std::int64_t(h)));
+            s.add(gfx::Rect::ofSize(px, py, pw, ph), opaque,
+                  gfx::PrimTag::AppContent);
+        }
     }
     return s;
 }
@@ -130,6 +166,27 @@ TEST_P(ScenePropertySweep, FullyOpaqueCoverMakesLaterPrimsInvisible)
         EXPECT_EQ(r.deltas[LRZ_VISIBLE_PRIM_AFTER_LRZ], 2);
         EXPECT_EQ(r.deltas[LRZ_VISIBLE_PIXEL_AFTER_LRZ],
                   scene.damage.area());
+    }
+}
+
+TEST_P(ScenePropertySweep, MatchesPerPixelReferenceOnEveryModel)
+{
+    // One pipeline per model, kept across rounds, so a frame also
+    // reuses the buffers a larger earlier frame left behind.
+    std::vector<Pipeline> pipes;
+    for (int gen : supportedAdrenoGenerations())
+        pipes.emplace_back(adrenoModel(gen));
+    Rng rng(GetParam() ^ 0x6666);
+    for (int round = 0; round < 100; ++round) {
+        const auto scene = randomScene(rng, 40);
+        for (Pipeline &pipe : pipes) {
+            const FrameResult got = pipe.render(scene);
+            const FrameResult want = ref::render(pipe.model(), scene);
+            ASSERT_EQ(got.deltas, want.deltas)
+                << pipe.model().name << ", round " << round;
+            ASSERT_EQ(got.rasterizedPixels, want.rasterizedPixels)
+                << pipe.model().name << ", round " << round;
+        }
     }
 }
 

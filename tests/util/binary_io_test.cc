@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "util/binary_io.h"
+#include "util/rng.h"
 
 namespace gpusc {
 namespace {
@@ -71,6 +72,40 @@ TEST(BinaryIoTest, ShortBufferFailureIsSticky)
     EXPECT_EQ(out[1], 0u);
     EXPECT_EQ(r.pos(), 0u);
     EXPECT_FALSE(r.ok());
+}
+
+/** Bit-at-a-time CRC-32 over the same reflected IEEE polynomial. */
+std::uint32_t
+bytewiseCrc32(const std::uint8_t *data, std::size_t size,
+              std::uint32_t seed)
+{
+    std::uint32_t c = seed ^ 0xffffffffu;
+    for (std::size_t i = 0; i < size; ++i) {
+        c ^= data[i];
+        for (int k = 0; k < 8; ++k)
+            c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    }
+    return c ^ 0xffffffffu;
+}
+
+TEST(BinaryIoTest, Crc32MatchesBytewiseReferenceAtEveryLengthAndOffset)
+{
+    // Lengths cover the sliced 8-byte loop with every tail length;
+    // offsets cover every alignment of the start.
+    Rng rng(0xC3C3);
+    std::vector<std::uint8_t> buf(300 + 8);
+    for (std::uint8_t &b : buf)
+        b = std::uint8_t(rng.next());
+    for (std::size_t offset = 0; offset < 8; ++offset) {
+        for (std::size_t len = 0; len <= 300; ++len) {
+            const std::uint8_t *p = buf.data() + offset;
+            for (const std::uint32_t seed :
+                 {0u, std::uint32_t(rng.next())})
+                ASSERT_EQ(crc32(p, len, seed), bytewiseCrc32(p, len, seed))
+                    << "offset " << offset << ", length " << len
+                    << ", seed " << seed;
+        }
+    }
 }
 
 TEST(BinaryIoTest, Crc32MatchesTheIeeeCheckValue)
