@@ -8,6 +8,9 @@
  * configurations with the input-injection bot, packs them into the
  * preloaded model store, round-trips the store through a file, and
  * prints the §7.6 size accounting.
+ *
+ *   offline_training [store-path]   (default: gpusc_models.bin in the
+ *                                    working directory)
  */
 
 #include <cstdio>
@@ -21,7 +24,7 @@
 using namespace gpusc;
 
 int
-main()
+main(int argc, char **argv)
 {
     // --- Counter discovery (paper §3.3).
     std::printf("enumerating perf-monitor groups (Table 1 "
@@ -69,7 +72,7 @@ main()
     table.print("\ntrained models");
 
     // --- Persist the preloaded asset and read it back.
-    const std::string path = "/tmp/gpusc_models.bin";
+    const std::string path = argc > 1 ? argv[1] : "gpusc_models.bin";
     if (!store.saveToFile(path))
         fatal("cannot write %s", path.c_str());
     const attack::ModelStore loaded = attack::ModelStore::loadFromFile(path);

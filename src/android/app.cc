@@ -157,15 +157,12 @@ AppSurface::buildScene(gfx::FrameScene &scene) const
     // Brand logo as glyph runs.
     const int logoH = display_.dp(22);
     const int logoW = logoH * gfx::kGlyphCols / gfx::kGlyphRows;
-    int lx = (display_.width -
-              int(spec_.logoText.size()) * (logoW + display_.dp(2))) / 2;
+    const int logoPitch = logoW + display_.dp(2);
+    const int lx =
+        (display_.width - int(spec_.logoText.size()) * logoPitch) / 2;
     const int ly = contentTop + display_.dp(18);
-    for (char c : spec_.logoText) {
-        for (const gfx::Rect &run : gfx::glyphRunRects(
-                 c, gfx::Rect::ofSize(lx, ly, logoW, logoH)))
-            scene.add(run, true, gfx::PrimTag::AppContent);
-        lx += logoW + display_.dp(2);
-    }
+    scene.addText(spec_.logoText, gfx::Rect::ofSize(lx, ly, logoW, logoH),
+                  logoPitch, gfx::PrimTag::AppContent);
 
     // Credential field: box, underline, one dot per committed char,
     // cursor when lit. Every field redraw therefore contributes

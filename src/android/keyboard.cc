@@ -343,18 +343,15 @@ KeyboardLayout::buildBase(gfx::FrameScene &scene, KbPage page) const
             "the quick brown fox jumps over a lazy dog and you can "
             "type some more words here right now because these are "
             "only suggestions";
-        int x = strip.x0 + display_.dp(4);
+        const int x0 = strip.x0 + display_.dp(4);
         const int pitch = glyphW + display_.dp(1);
-        for (char pc : phrase) {
-            if (x + glyphW > strip.x1 - display_.dp(4))
-                break;
-            if (pc != ' ') {
-                for (const gfx::Rect &run : gfx::glyphRunRects(
-                         pc, gfx::Rect::ofSize(x, y, glyphW, glyphH)))
-                    scene.add(run, true, gfx::PrimTag::KeyLabel);
-            }
-            x += pitch;
-        }
+        std::size_t fit = 0;
+        while (fit < phrase.size() &&
+               x0 + int(fit) * pitch + glyphW <= strip.x1 - display_.dp(4))
+            ++fit;
+        scene.addText(std::string_view(phrase).substr(0, fit),
+                      gfx::Rect::ofSize(x0, y, glyphW, glyphH), pitch,
+                      gfx::PrimTag::KeyLabel);
         // Divider bars at thirds (Gboard-style).
         for (int div = 1; div <= 2; ++div) {
             scene.add(gfx::Rect::ofSize(
@@ -372,12 +369,11 @@ KeyboardLayout::buildBase(gfx::FrameScene &scene, KbPage page) const
         scene.add(key.rect.inset(capInset), true, gfx::PrimTag::KeyCap);
         if (key.code == KeyCode::Char && key.ch != ' ') {
             const gfx::Point c = key.rect.center();
-            const gfx::Rect labelBox =
-                gfx::Rect::ofSize(c.x - labelW / 2, c.y - labelH / 2,
-                                  labelW, labelH);
-            for (const gfx::Rect &run :
-                 gfx::glyphRunRects(key.ch, labelBox))
-                scene.add(run, true, gfx::PrimTag::KeyLabel);
+            scene.addGlyph(key.ch,
+                           gfx::Rect::ofSize(c.x - labelW / 2,
+                                             c.y - labelH / 2, labelW,
+                                             labelH),
+                           gfx::PrimTag::KeyLabel);
         } else {
             buildKeyIcon(scene, key);
         }
@@ -398,10 +394,10 @@ KeyboardLayout::buildPopup(gfx::FrameScene &scene, const Key &key,
     const int glyphH = int(display_.dp(spec_.popupGlyphDp) * scale + 0.5);
     const int glyphW = glyphH * gfx::kGlyphCols / gfx::kGlyphRows;
     const gfx::Point c = popup.center();
-    const gfx::Rect glyphBox = gfx::Rect::ofSize(
-        c.x - glyphW / 2, c.y - glyphH / 2, glyphW, glyphH);
-    for (const gfx::Rect &run : gfx::glyphRunRects(key.ch, glyphBox))
-        scene.add(run, true, gfx::PrimTag::PopupGlyph);
+    scene.addGlyph(key.ch,
+                   gfx::Rect::ofSize(c.x - glyphW / 2, c.y - glyphH / 2,
+                                     glyphW, glyphH),
+                   gfx::PrimTag::PopupGlyph);
 }
 
 } // namespace gpusc::android

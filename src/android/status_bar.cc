@@ -28,14 +28,13 @@ StatusBar::buildScene(gfx::FrameScene &scene) const
     // Clock ("12:30") on the left.
     const int h = bounds().height() * 2 / 3;
     const int w = h * gfx::kGlyphCols / gfx::kGlyphRows;
-    int x = bounds().x0 + display_.dp(8);
     const int y = bounds().y0 + (bounds().height() - h) / 2;
-    for (char c : std::string("12:30")) {
-        for (const gfx::Rect &run :
-             gfx::glyphRunRects(c, gfx::Rect::ofSize(x, y, w, h)))
-            scene.add(run, true, gfx::PrimTag::StatusBar);
-        x += w + display_.dp(1);
-    }
+    const std::string_view clock = "12:30";
+    const int pitch = w + display_.dp(1);
+    const int clockX = bounds().x0 + display_.dp(8);
+    scene.addText(clock, gfx::Rect::ofSize(clockX, y, w, h), pitch,
+                  gfx::PrimTag::StatusBar);
+    const int x = clockX + int(clock.size()) * pitch;
 
     // System icons (battery, signal) on the right.
     int ix = bounds().x1 - display_.dp(10) - h;

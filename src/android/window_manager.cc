@@ -38,7 +38,8 @@ WindowManager::renderTransitionFrame()
     // The app-overview animation redraws (almost) the whole screen
     // with scaling window thumbnails; content varies per phase so the
     // counter deltas of consecutive frames differ, as in Fig. 13.
-    gfx::FrameScene scene;
+    gfx::FrameScene &scene = scene_;
+    scene.prims.clear();
     scene.damage = gfx::Rect{0, 0, display_.width, display_.height};
     scene.add(scene.damage, true, gfx::PrimTag::Animation);
     const int inset = 40 + 12 * (transitionPhase_ % 8);
@@ -68,10 +69,10 @@ WindowManager::onVsync()
         for (Surface *s : surfaces_) {
             if (!s->visible() || !s->hasDamage())
                 continue;
-            gfx::FrameScene scene;
-            scene.damage = s->takeDamage();
-            s->buildScene(scene);
-            engine_.submit(scene, s->ownerPid());
+            scene_.prims.clear();
+            scene_.damage = s->takeDamage();
+            s->buildScene(scene_);
+            engine_.submit(scene_, s->ownerPid());
             ++framesComposited_;
         }
     }

@@ -62,6 +62,9 @@ class WindowManager
     gpu::RenderEngine &engine_;
     DisplayConfig display_;
     std::vector<Surface *> surfaces_;
+    /** Reused for every composited frame, so a vsync does not
+     *  reallocate the primitive list. */
+    gfx::FrameScene scene_;
     bool started_ = false;
     std::uint64_t framesComposited_ = 0;
     int transitionFramesLeft_ = 0;

@@ -1,6 +1,7 @@
 #include "attack/sampler.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "kgsl/msm_kgsl.h"
 
@@ -29,20 +30,34 @@ openAndReserveCounters(kgsl::KgslDevice &dev,
     return fd;
 }
 
+namespace {
+
+constexpr std::uint32_t kAllHeld =
+    (1u << gpu::kNumSelectedCounters) - 1;
+
+using ReadEntries = std::array<kgsl::kgsl_perfcounter_read_group,
+                               gpu::kNumSelectedCounters>;
+
+} // namespace
+
 bool
 PcSampler::readOnce(kgsl::KgslDevice &dev, int fd,
                     gpu::CounterTotals &out)
 {
-    kgsl::kgsl_perfcounter_read_group
-        entries[gpu::kNumSelectedCounters];
-    for (std::size_t i = 0; i < gpu::kNumSelectedCounters; ++i) {
-        const gpu::CounterId id =
-            gpu::counterId(gpu::SelectedCounter(i));
-        entries[i].groupid = id.group;
-        entries[i].countable = id.countable;
-    }
+    // READ entries of all selected counters, in SelectedCounter order.
+    static const ReadEntries kAll = [] {
+        ReadEntries e;
+        for (std::size_t i = 0; i < gpu::kNumSelectedCounters; ++i) {
+            const gpu::CounterId id =
+                gpu::counterId(gpu::SelectedCounter(i));
+            e[i].groupid = id.group;
+            e[i].countable = id.countable;
+        }
+        return e;
+    }();
+    ReadEntries entries = kAll;
     kgsl::kgsl_perfcounter_read req;
-    req.reads = entries;
+    req.reads = entries.data();
     req.count = gpu::kNumSelectedCounters;
     if (dev.ioctl(fd, kgsl::IOCTL_KGSL_PERFCOUNTER_READ, &req) != 0)
         return false;
@@ -55,8 +70,7 @@ PcSampler::PcSampler(kgsl::KgslDevice &dev, kgsl::ProcessContext proc,
                      EventQueue &eq, SimTime interval,
                      RecoveryParams recovery)
     : dev_(dev), proc_(proc), eq_(eq), interval_(interval),
-      recovery_(recovery), paceInterval_(interval),
-      aliveToken_(std::make_shared<int>(0))
+      recovery_(recovery), paceInterval_(interval)
 {
 }
 
@@ -98,10 +112,7 @@ PcSampler::updateHeldGauge()
 {
     if (!countersHeldGauge_)
         return;
-    std::size_t held = 0;
-    for (std::size_t i = 0; i < gpu::kNumSelectedCounters; ++i)
-        held += held_[i] ? 1 : 0;
-    countersHeldGauge_->set(double(held));
+    countersHeldGauge_->set(double(std::popcount(held_)));
 }
 
 int
@@ -136,7 +147,7 @@ PcSampler::openAndReserve()
         return false;
     }
     fd_ = fd;
-    held_.fill(false);
+    held_ = 0;
     std::size_t got = 0;
     for (std::size_t i = 0; i < gpu::kNumSelectedCounters; ++i) {
         const gpu::CounterId id =
@@ -147,7 +158,7 @@ PcSampler::openAndReserve()
         const int rc =
             ioctlRetrying(kgsl::IOCTL_KGSL_PERFCOUNTER_GET, &get);
         if (rc == 0) {
-            held_[i] = true;
+            held_ |= 1u << i;
             ++got;
             continue;
         }
@@ -159,7 +170,7 @@ PcSampler::openAndReserve()
         // when a PUT would itself be denied (e.g. RBAC swap).
         dev_.close(fd_);
         fd_ = -1;
-        held_.fill(false);
+        held_ = 0;
         return false;
     }
     if (got == 0) {
@@ -180,7 +191,7 @@ PcSampler::reopenAfterReset()
 {
     dev_.close(fd_);
     fd_ = -1;
-    held_.fill(false);
+    held_ = 0;
     if (!openAndReserve())
         return false;
     ++health_.reopens;
@@ -193,14 +204,11 @@ PcSampler::reopenAfterReset()
 void
 PcSampler::maybeReacquire()
 {
-    bool missing = false;
-    for (std::size_t i = 0; i < gpu::kNumSelectedCounters; ++i)
-        missing = missing || !held_[i];
-    if (!missing || eq_.now() < backoffDue_)
+    if (held_ == kAllHeld || eq_.now() < backoffDue_)
         return;
     bool still = false;
     for (std::size_t i = 0; i < gpu::kNumSelectedCounters; ++i) {
-        if (held_[i])
+        if (held_ >> i & 1)
             continue;
         ++health_.busyRetries;
         if (busyRetriesCtr_)
@@ -213,7 +221,7 @@ PcSampler::maybeReacquire()
         const int rc =
             ioctlRetrying(kgsl::IOCTL_KGSL_PERFCOUNTER_GET, &get);
         if (rc == 0) {
-            held_[i] = true;
+            held_ |= 1u << i;
         } else {
             lastErrno_ = -rc;
             still = true;
@@ -228,33 +236,39 @@ PcSampler::maybeReacquire()
     updateHeldGauge();
 }
 
+void
+PcSampler::buildReadEntries()
+{
+    readCount_ = 0;
+    for (std::size_t i = 0; i < gpu::kNumSelectedCounters; ++i) {
+        if (!(held_ >> i & 1))
+            continue;
+        const gpu::CounterId id =
+            gpu::counterId(gpu::SelectedCounter(i));
+        readEntries_[readCount_].groupid = id.group;
+        readEntries_[readCount_].countable = id.countable;
+        readSlot_[readCount_] = std::uint8_t(i);
+        ++readCount_;
+    }
+    readMask_ = held_;
+}
+
 int
 PcSampler::readHeld(gpu::CounterTotals &out)
 {
     for (int attempt = 0; attempt < 2; ++attempt) {
-        kgsl::kgsl_perfcounter_read_group
-            entries[gpu::kNumSelectedCounters];
-        std::size_t slot[gpu::kNumSelectedCounters];
-        std::uint32_t n = 0;
-        for (std::size_t i = 0; i < gpu::kNumSelectedCounters; ++i) {
-            if (!held_[i])
-                continue;
-            const gpu::CounterId id =
-                gpu::counterId(gpu::SelectedCounter(i));
-            entries[n].groupid = id.group;
-            entries[n].countable = id.countable;
-            slot[n] = i;
-            ++n;
-        }
+        if (held_ != readMask_)
+            buildReadEntries();
+        const std::uint32_t n = readCount_;
         kgsl::kgsl_perfcounter_read req;
-        req.reads = entries;
+        req.reads = readEntries_;
         req.count = n;
         const int rc =
             n ? ioctlRetrying(kgsl::IOCTL_KGSL_PERFCOUNTER_READ, &req)
               : 0;
         if (rc == 0) {
             for (std::uint32_t j = 0; j < n; ++j)
-                lastSeen_[slot[j]] = entries[j].value;
+                lastSeen_[readSlot_[j]] = readEntries_[j].value;
             // Unheld counters repeat their last value: downstream
             // deltas are 0 instead of a bogus backward step.
             out = lastSeen_;
@@ -289,12 +303,18 @@ PcSampler::start()
 void
 PcSampler::stop()
 {
-    ++generation_; // pending ticks/watchdogs become no-ops
+    // Pending ticks/watchdogs become no-ops that still dispatch.
+    ++generation_;
+    for (EventId *id : {&tickEvent_, &watchdogEvent_}) {
+        if (*id)
+            eq_.disarm(*id);
+        *id = 0;
+    }
     if (fd_ >= 0) {
         dev_.close(fd_);
         fd_ = -1;
     }
-    held_.fill(false);
+    held_ = 0;
     running_ = false;
     suspended_ = false;
     updateHeldGauge();
@@ -303,19 +323,14 @@ PcSampler::stop()
 bool
 PcSampler::degraded() const
 {
-    for (std::size_t i = 0; i < gpu::kNumSelectedCounters; ++i)
-        if (!held_[i])
-            return true;
-    return false;
+    return held_ != kAllHeld;
 }
 
 HealthStats
 PcSampler::health() const
 {
     HealthStats h = health_;
-    h.countersHeld = 0;
-    for (std::size_t i = 0; i < gpu::kNumSelectedCounters; ++i)
-        h.countersHeld += held_[i] ? 1 : 0;
+    h.countersHeld = std::uint64_t(std::popcount(held_));
     h.effectiveIntervalNs = std::uint64_t(effectiveInterval().ns());
     return h;
 }
@@ -415,10 +430,9 @@ PcSampler::scheduleNext()
     SimTime next = effectiveInterval();
     if (wakeupJitter_)
         next += wakeupJitter_();
-    std::weak_ptr<int> alive = aliveToken_;
     const std::uint64_t gen = generation_;
-    eq_.scheduleAfter(next, [this, alive, gen] {
-        if (!alive.expired() && generation_ == gen)
+    tickEvent_ = eq_.scheduleAfter(next, [this, gen] {
+        if (generation_ == gen)
             tick();
     });
 }
@@ -426,15 +440,15 @@ PcSampler::scheduleNext()
 void
 PcSampler::scheduleWatchdog()
 {
-    std::weak_ptr<int> alive = aliveToken_;
     const std::uint64_t gen = generation_;
-    eq_.scheduleAfter(recovery_.watchdogInterval, [this, alive, gen] {
-        if (alive.expired() || !running_ || generation_ != gen)
+    auto probe = [this, gen] {
+        if (!running_ || generation_ != gen)
             return;
         watchdogProbe();
         if (running_ && generation_ == gen)
             scheduleWatchdog();
-    });
+    };
+    watchdogEvent_ = eq_.scheduleAfter(recovery_.watchdogInterval, probe);
 }
 
 void

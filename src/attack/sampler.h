@@ -25,7 +25,6 @@
 
 #include <array>
 #include <functional>
-#include <memory>
 
 #include "gpu/counters.h"
 #include "kgsl/device.h"
@@ -203,6 +202,8 @@ class PcSampler
     void updateHeldGauge();
     int ioctlRetrying(unsigned long request, void *arg);
     int readHeld(gpu::CounterTotals &out);
+    /** Rebuild the READ entries for the counters in held_. */
+    void buildReadEntries();
 
     kgsl::KgslDevice &dev_;
     kgsl::ProcessContext proc_;
@@ -217,8 +218,15 @@ class PcSampler
     bool suspended_ = false;
     std::uint64_t reads_ = 0;
     int lastErrno_ = 0;
-    /** Which of the 11 selected counters we currently hold. */
-    std::array<bool, gpu::kNumSelectedCounters> held_{};
+    /** Which of the 11 selected counters we hold: bit i = counter i. */
+    std::uint32_t held_ = 0;
+    /** READ entries for the held counters, rebuilt only when held_
+     *  moves off readMask_; readSlot_[j] is entry j's counter. */
+    std::uint32_t readMask_ = 0;
+    std::uint32_t readCount_ = 0;
+    kgsl::kgsl_perfcounter_read_group
+        readEntries_[gpu::kNumSelectedCounters];
+    std::uint8_t readSlot_[gpu::kNumSelectedCounters] = {};
     /** Last value read per counter; unheld counters repeat theirs so
      *  downstream deltas stay zero instead of going backwards. */
     gpu::CounterTotals lastSeen_{};
@@ -246,7 +254,11 @@ class PcSampler
     /** Bumped by start()/stop(); pending callbacks from an older
      *  generation are no-ops, making stop/restart cycles safe. */
     std::uint64_t generation_ = 0;
-    std::shared_ptr<int> aliveToken_;
+    /** The pending tick and watchdog events. stop() disarms them, so
+     *  no event left in the queue calls into a destroyed sampler and
+     *  the callbacks need only `this` and a generation. */
+    EventId tickEvent_ = 0;
+    EventId watchdogEvent_ = 0;
 };
 
 /**

@@ -46,10 +46,47 @@ int glyphPixelCount(char c);
 
 /**
  * Scale the glyph for @p c into @p box and decompose it into one
- * rectangle per horizontal run of lit pixels per row. These rectangles
- * are what the UI layer submits to the GPU as primitives.
+ * rectangle per horizontal run of lit pixels per row, top row first
+ * and left to right. These rectangles are what the UI layer submits
+ * to the GPU as primitives; every one lies inside @p box.
  */
 std::vector<Rect> glyphRunRects(char c, const Rect &box);
+
+/** Call @p emit with each rectangle of glyphRunRects(c, box), in the
+ *  same order, without building a vector. */
+template <typename Emit>
+void
+forEachGlyphRun(char c, const Rect &box, Emit &&emit)
+{
+    if (box.empty())
+        return;
+    const Glyph &g = glyphFor(c);
+    const int w = box.width();
+    const int h = box.height();
+    for (int r = 0; r < kGlyphRows; ++r) {
+        const int y0 = box.y0 + r * h / kGlyphRows;
+        const int y1 = box.y0 + (r + 1) * h / kGlyphRows;
+        const unsigned bits = g.rows[std::size_t(r)];
+        if (y1 <= y0 || bits == 0)
+            continue;
+        int col = 0;
+        while (col < kGlyphCols) {
+            if (!(bits & (1u << (kGlyphCols - 1 - col)))) {
+                ++col;
+                continue;
+            }
+            int end = col;
+            while (end < kGlyphCols &&
+                   (bits & (1u << (kGlyphCols - 1 - end))))
+                ++end;
+            const int x0 = box.x0 + col * w / kGlyphCols;
+            const int x1 = box.x0 + end * w / kGlyphCols;
+            if (x1 > x0)
+                emit(Rect{x0, y0, x1, y1});
+            col = end;
+        }
+    }
+}
 
 /** All characters with dedicated glyphs, in Fig. 18 display order. */
 const std::string &fontCharset();

@@ -1,5 +1,7 @@
 #include "gfx/scene.h"
 
+#include "gfx/font.h"
+
 namespace gpusc::gfx {
 
 namespace {
@@ -11,6 +13,25 @@ mix(std::uint64_t &h, std::uint64_t v)
 }
 
 } // namespace
+
+void
+FrameScene::addGlyph(char c, const Rect &box, PrimTag tag)
+{
+    if (!box.intersects(damage))
+        return;
+    forEachGlyphRun(c, box,
+                    [&](const Rect &run) { add(run, true, tag); });
+}
+
+void
+FrameScene::addText(std::string_view text, Rect box, int pitch,
+                    PrimTag tag)
+{
+    for (char c : text) {
+        addGlyph(c, box, tag);
+        box = box.translated(pitch, 0);
+    }
+}
 
 std::uint64_t
 FrameScene::contentHash() const

@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "gfx/geometry.h"
@@ -63,6 +64,19 @@ struct FrameScene
         if (!clipped.empty())
             prims.push_back(Prim{clipped, opaque, tag});
     }
+
+    /**
+     * Append the glyph of @p c scaled into @p box as opaque run quads
+     * (gfx::glyphRunRects), clipped to the damage. The runs lie inside
+     * the box, so a glyph whose box misses the damage is skipped
+     * without being rasterised.
+     */
+    void addGlyph(char c, const Rect &box, PrimTag tag);
+
+    /** addGlyph for each character of @p text: the first in @p box,
+     *  each next one @p pitch pixels to the right. */
+    void addText(std::string_view text, Rect box, int pitch,
+                 PrimTag tag);
 
     /**
      * Stable content hash over damage and primitive list; used by the

@@ -9,11 +9,9 @@ using namespace gpusc::sim_literals;
 
 namespace {
 
-/** Trailing window used for the busy-percentage node. */
+/** Trailing window used for the busy-percentage node. Folded jobs
+ *  that ended before it can no longer affect anything. */
 constexpr SimTime kBusyWindow = 100_ms;
-
-/** Jobs older than this can no longer affect reads or busy%. */
-constexpr SimTime kRetireAge = 500_ms;
 
 } // namespace
 
@@ -61,7 +59,7 @@ RenderEngine::submit(const gfx::FrameScene &scene, int ownerPid)
     busyUntil_ = end;
     totalBusy_ += end - start;
     ++framesRendered_;
-    retireJobs();
+    settle();
     return end;
 }
 
@@ -75,40 +73,48 @@ RenderEngine::submitCompute(SimTime duration)
     jobs_.push_back(Job{start, end, CounterVec{}});
     busyUntil_ = end;
     totalBusy_ += duration;
-    retireJobs();
+    settle();
     return end;
 }
 
-CounterVec
-RenderEngine::accruedAt(const Job &job, SimTime t) const
+const RenderEngine::Job *
+RenderEngine::settle()
 {
-    CounterVec out{};
-    if (t <= job.start)
-        return out;
-    if (t >= job.end)
-        return job.deltas;
+    const SimTime now = eq_.now();
+    // Jobs run back to back, so they finish in submission order and
+    // everything after the first unfinished job has not started yet.
+    while (folded_ < jobs_.size()) {
+        const Job &j = jobs_[folded_];
+        if (now <= j.start || now < j.end)
+            break;
+        CounterTotals &pid = donePerPid_[j.ownerPid];
+        for (std::size_t i = 0; i < j.deltas.size(); ++i) {
+            done_[i] += std::uint64_t(j.deltas[i]);
+            pid[i] += std::uint64_t(j.deltas[i]);
+        }
+        ++folded_;
+    }
+    std::size_t drop = 0;
+    while (drop < folded_ && jobs_[drop].end + kBusyWindow < now)
+        ++drop;
+    if (drop > 0) {
+        jobs_.erase(jobs_.begin(), jobs_.begin() + std::ptrdiff_t(drop));
+        folded_ -= drop;
+    }
+    if (folded_ < jobs_.size() && jobs_[folded_].start < now)
+        return &jobs_[folded_];
+    return nullptr;
+}
+
+void
+RenderEngine::addPartial(CounterTotals &out, const Job &job, SimTime t)
+{
     // Mid-job read: counters accrue (approximately) linearly with GPU
     // progress through the draw list.
     const double frac = double((t - job.start).ns()) /
                         double((job.end - job.start).ns());
     for (std::size_t i = 0; i < out.size(); ++i)
-        out[i] = std::int64_t(double(job.deltas[i]) * frac);
-    return out;
-}
-
-void
-RenderEngine::retireJobs()
-{
-    const SimTime now = eq_.now();
-    while (!jobs_.empty() && jobs_.front().end + kRetireAge < now) {
-        const Job &j = jobs_.front();
-        CounterTotals &pid = settledPerPid_[j.ownerPid];
-        for (std::size_t i = 0; i < j.deltas.size(); ++i) {
-            settled_[i] += std::uint64_t(j.deltas[i]);
-            pid[i] += std::uint64_t(j.deltas[i]);
-        }
-        jobs_.pop_front();
-    }
+        out[i] += std::uint64_t(std::int64_t(double(job.deltas[i]) * frac));
 }
 
 std::uint64_t
@@ -120,40 +126,30 @@ RenderEngine::read(SelectedCounter c)
 CounterTotals
 RenderEngine::readAll()
 {
-    retireJobs();
-    CounterTotals out = settled_;
-    const SimTime now = eq_.now();
-    for (const Job &j : jobs_) {
-        const CounterVec acc = accruedAt(j, now);
-        for (std::size_t i = 0; i < acc.size(); ++i)
-            out[i] += std::uint64_t(acc[i]);
-    }
+    const Job *open = settle();
+    CounterTotals out = done_;
+    if (open)
+        addPartial(out, *open, eq_.now());
     return out;
 }
 
 CounterTotals
 RenderEngine::readLocal(int pid)
 {
-    retireJobs();
+    const Job *open = settle();
     CounterTotals out{};
-    auto it = settledPerPid_.find(pid);
-    if (it != settledPerPid_.end())
+    auto it = donePerPid_.find(pid);
+    if (it != donePerPid_.end())
         out = it->second;
-    const SimTime now = eq_.now();
-    for (const Job &j : jobs_) {
-        if (j.ownerPid != pid)
-            continue;
-        const CounterVec acc = accruedAt(j, now);
-        for (std::size_t i = 0; i < acc.size(); ++i)
-            out[i] += std::uint64_t(acc[i]);
-    }
+    if (open && open->ownerPid == pid)
+        addPartial(out, *open, eq_.now());
     return out;
 }
 
 double
 RenderEngine::busyPercent()
 {
-    retireJobs();
+    settle();
     const SimTime now = eq_.now();
     const SimTime winStart =
         now > kBusyWindow ? now - kBusyWindow : SimTime();

@@ -10,6 +10,11 @@
  * paper's Algorithm 1 repairs (two consecutive reads see two pieces
  * that sum to the true per-frame delta).
  *
+ * Because jobs run one after another and the clock only moves
+ * forward, at most one job is ever partly accrued: a read is the
+ * running sum of finished jobs plus that one job's partial, so its
+ * cost does not grow with the number of recent frames.
+ *
  * Identical frames (same damage + draw list) hit a content-hash memo
  * so long experiment campaigns do not re-rasterise unchanged scenes.
  */
@@ -18,8 +23,8 @@
 #define GPUSC_GPU_RENDER_ENGINE_H
 
 #include <cstdint>
-#include <deque>
 #include <unordered_map>
+#include <vector>
 
 #include "gfx/scene.h"
 #include "gpu/counters.h"
@@ -113,20 +118,29 @@ class RenderEngine
         std::int64_t rasterizedPixels;
     };
 
-    /** Counters accrued by @p job as observable at time @p t. */
-    CounterVec accruedAt(const Job &job, SimTime t) const;
+    /**
+     * Fold the jobs that have fully accrued by now into the running
+     * sums, then drop folded jobs too old to overlap the busy window.
+     * @return the one job that may be partly accrued now, or nullptr.
+     */
+    const Job *settle();
 
-    /** Fold fully-retired jobs into the settled totals. */
-    void retireJobs();
+    /** Add @p job's partial accrual at @p t (start < t < end). */
+    static void addPartial(CounterTotals &out, const Job &job, SimTime t);
 
     EventQueue &eq_;
     Pipeline pipeline_;
     Rng rng_;
     double noiseSigma_ = 0.0;
 
-    CounterTotals settled_{};
-    std::unordered_map<int, CounterTotals> settledPerPid_;
-    std::deque<Job> jobs_;
+    /** Sums of every folded job, overall and per owner pid. */
+    CounterTotals done_{};
+    std::unordered_map<int, CounterTotals> donePerPid_;
+    /** Jobs in start order; the first `folded_` are in done_. A
+     *  handful at a time, so dropping from the front is a short move
+     *  and the buffer is reused. */
+    std::vector<Job> jobs_;
+    std::size_t folded_ = 0;
     SimTime busyUntil_;
     SimTime totalBusy_;
     std::uint64_t framesRendered_ = 0;

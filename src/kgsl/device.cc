@@ -1,5 +1,7 @@
 #include "kgsl/device.h"
 
+#include <bit>
+
 #include "util/logging.h"
 
 namespace gpusc::kgsl {
@@ -30,9 +32,10 @@ void
 KgslDevice::dropReservations(OpenFile &file)
 {
     if (injector_ && !file.stale)
-        for (const auto &[groupid, countable] : file.reservations)
-            injector_->release(groupid);
-    file.reservations.clear();
+        for (std::uint32_t g = 0; g <= kMaxGroupId; ++g)
+            for (int n = std::popcount(file.reservations[g]); n > 0; --n)
+                injector_->release(g);
+    file.reservations.fill(0);
 }
 
 int
@@ -51,7 +54,8 @@ KgslDevice::totalReservations() const
 {
     std::size_t n = 0;
     for (const auto &[fd, file] : files_)
-        n += file.reservations.size();
+        for (std::uint32_t word : file.reservations)
+            n += std::size_t(std::popcount(word));
     return n;
 }
 
@@ -62,7 +66,8 @@ hardwareImplementsCounter(std::uint32_t groupid, std::uint32_t countable)
     // countables; we expose a plausible range so the enumeration step
     // of §3.3 has something to iterate over. The ranges hold the
     // selected 11 (KgslHardwareTest.ImplementedCountables), so no
-    // counter lookup is needed here.
+    // counter lookup is needed here. They also bound KgslDevice's
+    // reservation bitmask: group <= 0x19, countable < 32.
     switch (groupid) {
       case KGSL_PERFCOUNTER_GROUP_VPC:
         return countable < 24;
@@ -85,13 +90,15 @@ KgslDevice::doPerfcounterGet(OpenFile &file, kgsl_perfcounter_get *arg)
         return -KGSL_EFAULT;
     if (!hardwareImplementsCounter(arg->groupid, arg->countable))
         return -KGSL_EINVAL;
-    if (!file.reservations.contains({arg->groupid, arg->countable})) {
+    std::uint32_t &word = file.reservations[arg->groupid];
+    const std::uint32_t bit = 1u << arg->countable;
+    if (!(word & bit)) {
         // A fresh reservation needs a free physical register in the
         // group (re-GET of a held countable costs nothing, like the
         // refcounted real driver).
         if (injector_ && !injector_->tryReserve(arg->groupid))
             return -KGSL_EBUSY;
-        file.reservations.insert({arg->groupid, arg->countable});
+        word |= bit;
     }
     // Real driver returns the register offset; any stable nonzero
     // value preserves the calling convention.
@@ -105,9 +112,14 @@ KgslDevice::doPerfcounterPut(OpenFile &file, kgsl_perfcounter_put *arg)
 {
     if (!arg)
         return -KGSL_EFAULT;
-    if (file.reservations.erase({arg->groupid, arg->countable}) &&
-        injector_)
+    // Unimplemented pairs were never reserved: nothing to release.
+    if (!hardwareImplementsCounter(arg->groupid, arg->countable))
+        return 0;
+    std::uint32_t &word = file.reservations[arg->groupid];
+    const std::uint32_t bit = 1u << arg->countable;
+    if ((word & bit) && injector_)
         injector_->release(arg->groupid);
+    word &= ~bit;
     return 0;
 }
 
@@ -146,7 +158,7 @@ KgslDevice::doPerfcounterRead(OpenFile &file, kgsl_perfcounter_read *arg)
         kgsl_perfcounter_read_group &entry = arg->reads[i];
         if (!hardwareImplementsCounter(entry.groupid, entry.countable))
             return -KGSL_EINVAL;
-        if (!file.reservations.contains({entry.groupid, entry.countable}))
+        if (!(file.reservations[entry.groupid] >> entry.countable & 1))
             return -KGSL_EINVAL; // must PERFCOUNTER_GET first
         const auto sel =
             gpu::selectedFromId({entry.groupid, entry.countable});

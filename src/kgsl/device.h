@@ -19,9 +19,9 @@
 #ifndef GPUSC_KGSL_DEVICE_H
 #define GPUSC_KGSL_DEVICE_H
 
+#include <array>
 #include <cstdint>
 #include <map>
-#include <set>
 #include <string>
 
 #include "gpu/render_engine.h"
@@ -102,10 +102,18 @@ class KgslDevice
     std::size_t totalReservations() const;
 
   private:
+    /** Highest group id hardwareImplementsCounter admits. */
+    static constexpr std::uint32_t kMaxGroupId = 0x19;
+
+    /** Reserved countables: bit c of word g holds (group g, countable
+     *  c). Only pairs hardwareImplementsCounter admits (countable <
+     *  32) are ever indexed. */
+    using ReservationMask = std::array<std::uint32_t, kMaxGroupId + 1>;
+
     struct OpenFile
     {
         ProcessContext proc;
-        std::set<std::pair<std::uint32_t, std::uint32_t>> reservations;
+        ReservationMask reservations{};
         /** Reset epoch the descriptor was opened in. */
         std::uint64_t epoch = 0;
         /** Invalidated by a device reset; every ioctl is ENODEV. */

@@ -19,6 +19,7 @@ traceErrorString(TraceError e)
       case TraceError::RecordCrcMismatch: return "RecordCrcMismatch";
       case TraceError::BadRecordKind: return "BadRecordKind";
       case TraceError::BadRecordPayload: return "BadRecordPayload";
+      case TraceError::FieldTooLong: return "FieldTooLong";
     }
     return "Unknown";
 }
@@ -49,6 +50,8 @@ encodeHeader(const TraceHeader &h)
     payload.u64(h.device.seed);
     payload.i64(h.samplingInterval.ns());
     payload.u64(h.seed);
+    if (!payload.ok() || payload.size() > 0xFFFF)
+        return {};
 
     ByteWriter out;
     out.u32(kTraceMagic);
@@ -135,6 +138,8 @@ encodeRecord(const TraceRecord &r)
       case RecordKind::TrialEnd:
         break;
     }
+    if (!payload.ok())
+        return {};
 
     ByteWriter out;
     out.u8(std::uint8_t(r.kind));

@@ -116,7 +116,11 @@ struct TraceRecord
 
 // --- Header codec --------------------------------------------------
 
-/** Serialise the full header block (magic through CRC). */
+/**
+ * Serialise the full header block (magic through CRC).
+ * @return empty if a string or the whole payload does not fit its
+ * u16 length field (TraceError::FieldTooLong for writers).
+ */
 std::vector<std::uint8_t> encodeHeader(const TraceHeader &h);
 
 /**
@@ -127,7 +131,11 @@ TraceError decodeHeader(ByteReader &reader, TraceHeader &out);
 
 // --- Record codec --------------------------------------------------
 
-/** Serialise one record frame (kind through CRC). */
+/**
+ * Serialise one record frame (kind through CRC).
+ * @return empty if the TrialBegin text does not fit its u16 length
+ * field (TraceError::FieldTooLong for writers).
+ */
 std::vector<std::uint8_t> encodeRecord(const TraceRecord &r);
 
 /**

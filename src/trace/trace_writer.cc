@@ -17,13 +17,16 @@ TraceWriter::open(const std::string &path, const TraceHeader &h)
         close();
     error_ = TraceError::None;
     records_ = 0;
+    // Refused before the file is touched: nothing is created.
+    const std::vector<std::uint8_t> hdr = encodeHeader(h);
+    if (hdr.empty())
+        return error_ = TraceError::FieldTooLong;
     file_ = std::fopen(path.c_str(), "wb");
     if (!file_) {
         warn("TraceWriter: cannot open '%s' for writing",
              path.c_str());
         return error_ = TraceError::IoOpen;
     }
-    const std::vector<std::uint8_t> hdr = encodeHeader(h);
     if (std::fwrite(hdr.data(), 1, hdr.size(), file_) != hdr.size()) {
         std::fclose(file_);
         file_ = nullptr;
@@ -38,6 +41,12 @@ TraceWriter::write(const TraceRecord &r)
     if (!file_)
         return TraceError::NotOpen;
     const std::vector<std::uint8_t> frame = encodeRecord(r);
+    if (frame.empty()) {
+        // Nothing written: the file stays valid, the refusal sticks.
+        if (error_ == TraceError::None)
+            error_ = TraceError::FieldTooLong;
+        return TraceError::FieldTooLong;
+    }
     if (std::fwrite(frame.data(), 1, frame.size(), file_) !=
         frame.size()) {
         if (error_ == TraceError::None)

@@ -28,10 +28,17 @@ class TraceWriter
     TraceWriter(const TraceWriter &) = delete;
     TraceWriter &operator=(const TraceWriter &) = delete;
 
-    /** Create/truncate @p path and write the header block. */
+    /**
+     * Create/truncate @p path and write the header block. A header
+     * whose strings or payload exceed their u16 length fields is
+     * refused with FieldTooLong before the file is touched.
+     */
     TraceError open(const std::string &path, const TraceHeader &h);
 
-    /** Append one record frame. */
+    /**
+     * Append one record frame. A TrialBegin text over 65,535 bytes is
+     * refused with FieldTooLong and nothing is written.
+     */
     TraceError write(const TraceRecord &r);
 
     // Convenience wrappers for the common record kinds.

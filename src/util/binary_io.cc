@@ -56,4 +56,15 @@ crc32(const std::vector<std::uint8_t> &data, std::uint32_t seed)
     return crc32(data.data(), data.size(), seed);
 }
 
+void
+ByteWriter::str16(const std::string &s)
+{
+    if (s.size() > kMaxStr16) {
+        ok_ = false;
+        return;
+    }
+    u16(std::uint16_t(s.size()));
+    raw(reinterpret_cast<const std::uint8_t *>(s.data()), s.size());
+}
+
 } // namespace gpusc

@@ -46,13 +46,15 @@ class ByteWriter
     void f32(float v) { pod(v); }
     void f64(double v) { pod(v); }
 
-    /** u16 length prefix + raw bytes (strings <= 64 kB). */
-    void str16(const std::string &s)
-    {
-        u16(std::uint16_t(s.size()));
-        raw(reinterpret_cast<const std::uint8_t *>(s.data()),
-            s.size());
-    }
+    /** Longest string str16 can frame. */
+    static constexpr std::size_t kMaxStr16 = 0xFFFF;
+
+    /**
+     * u16 length prefix + raw bytes. A string longer than kMaxStr16
+     * does not fit its prefix: nothing is written and ok() turns
+     * false, so the caller can refuse the whole encoding.
+     */
+    void str16(const std::string &s);
 
     void raw(const std::uint8_t *p, std::size_t n)
     {
@@ -71,6 +73,10 @@ class ByteWriter
     std::vector<std::uint8_t> take() { return std::move(buf_); }
     std::size_t size() const { return buf_.size(); }
 
+    /** False once a value did not fit its field (sticky); the bytes
+     *  are then not a valid encoding. */
+    bool ok() const { return ok_; }
+
   private:
     template <typename T>
     void
@@ -82,6 +88,7 @@ class ByteWriter
     }
 
     std::vector<std::uint8_t> buf_;
+    bool ok_ = true;
 };
 
 /** Bounds-checked reader over a byte span; never crashes on short

@@ -16,17 +16,29 @@
 #include <cstdint>
 #include <functional>
 #include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "util/sim_time.h"
 
 namespace gpusc {
 
-/** Handle used to cancel a scheduled event. */
+/**
+ * Handle used to cancel a scheduled event: the callback's slot in the
+ * low 32 bits, the slot's generation in the high 32. A slot's
+ * generation moves on when its event fires or is cancelled, so a
+ * handle outliving its event never names a later one. 0 is never a
+ * valid handle.
+ */
 using EventId = std::uint64_t;
 
-/** Time-ordered event queue with stable FIFO tie-breaking. */
+/**
+ * Time-ordered event queue with stable FIFO tie-breaking.
+ *
+ * Callbacks live in a reused slot vector, so a steady-state schedule
+ * and dispatch allocates nothing as long as the callable fits
+ * std::function's inline buffer (libstdc++: trivially copyable and at
+ * most 16 bytes, e.g. a lambda capturing `this` plus one word).
+ */
 class EventQueue
 {
   public:
@@ -48,8 +60,16 @@ class EventQueue
     /** Cancel a pending event. Cancelling a fired event is a no-op. */
     void cancel(EventId id);
 
+    /**
+     * Drop a pending event's callback but keep the event: it still
+     * dispatches (and counts in dispatched()) at its time, running
+     * nothing. For owners that die before their events fire. A no-op
+     * on a fired or cancelled event.
+     */
+    void disarm(EventId id);
+
     /** @return true if no runnable events remain. */
-    bool empty() const { return callbacks_.empty(); }
+    bool empty() const { return pending_ == 0; }
 
     /** @return the time of the next runnable event (max() if none). */
     SimTime nextTime();
@@ -72,7 +92,8 @@ class EventQueue
     {
         SimTime when;
         std::uint64_t seq;
-        EventId id;
+        std::uint32_t slot;
+        std::uint32_t gen;
         // Ordered so that the priority_queue pops the earliest entry.
         bool
         operator>(const Entry &o) const
@@ -83,17 +104,32 @@ class EventQueue
         }
     };
 
+    struct Slot
+    {
+        Callback fn;
+        /** Generation of the slot's pending event (or of the next one
+         *  when free); never 0. */
+        std::uint32_t gen = 1;
+    };
+
+    /** @return the slot @p id names if its event is still pending. */
+    Slot *pendingSlot(EventId id);
+
+    /** Free @p slot and move its generation on (fire or cancel). */
+    void release(std::uint32_t slot);
+
     /** Drop heap tombstones left behind by cancel(). */
     void skipDead();
 
     SimTime now_;
     std::uint64_t nextSeq_ = 0;
-    EventId nextId_ = 1;
     std::uint64_t dispatched_ = 0;
+    std::size_t pending_ = 0;
     std::priority_queue<Entry, std::vector<Entry>, std::greater<>> queue_;
-    // Callbacks live here so cancel() can drop them in O(1); the heap
-    // entry of a cancelled event becomes a tombstone.
-    std::unordered_map<EventId, Callback> callbacks_;
+    // A cancelled event's heap entry stays behind as a tombstone whose
+    // generation no longer matches its slot's.
+    std::vector<Slot> slots_;
+    std::vector<std::uint32_t> free_;
 };
 
 } // namespace gpusc

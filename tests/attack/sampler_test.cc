@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "android/device.h"
 #include "attack/sampler.h"
 
@@ -173,6 +175,41 @@ TEST(SamplerTest, StopRestartCyclesKeepOneTickChain)
     dev.runFor(80_ms);
     EXPECT_NEAR(readings, 11, 1);
     sampler.stop();
+}
+
+TEST(SamplerTest, StoppedOrDestroyedSamplerLeavesNoopEventsBehind)
+{
+    // A twin device without a sampler dispatches everything else the
+    // same, so the difference over a window after stop() or
+    // destruction is exactly the sampler's left-over pending tick and
+    // watchdog, which still dispatch but run nothing.
+    android::Device twin(quiet());
+    twin.boot();
+    twin.runFor(30_ms);
+    const std::uint64_t twinBefore = twin.eq().dispatched();
+    twin.runFor(100_ms);
+    const std::uint64_t twinWindow = twin.eq().dispatched() - twinBefore;
+
+    for (bool destroy : {false, true}) {
+        SCOPED_TRACE(destroy);
+        android::Device dev(quiet());
+        dev.boot();
+        auto sampler = std::make_unique<PcSampler>(
+            dev.kgsl(), dev.attackerContext(), dev.eq(), 8_ms);
+        int readings = 0;
+        sampler->setListener([&](const Reading &) { ++readings; });
+        ASSERT_TRUE(sampler->start());
+        dev.runFor(30_ms);
+        if (destroy)
+            sampler.reset();
+        else
+            sampler->stop();
+        const int seen = readings;
+        const std::uint64_t before = dev.eq().dispatched();
+        dev.runFor(100_ms); // ASan: nothing may call into a dead sampler
+        EXPECT_EQ(dev.eq().dispatched() - before, twinWindow + 2);
+        EXPECT_EQ(readings, seen);
+    }
 }
 
 TEST(SamplerTest, MidRunRbacDenialSuspendsThenWatchdogRecovers)

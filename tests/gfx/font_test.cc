@@ -30,6 +30,78 @@ TEST(FontTest, UnknownFallsBackToBox)
     EXPECT_GT(glyphPixelCount('\x01'), 0);
 }
 
+TEST(FontTest, TableIsIndexedByCharacterCode)
+{
+    // The font holds exactly the charset plus space and three extra
+    // symbols; every other code (control, DEL, non-ASCII, unused
+    // punctuation) is the fallback.
+    std::set<char> known(fontCharset().begin(), fontCharset().end());
+    known.insert({' ', '%', '=', '_'});
+    const Glyph &box = glyphFor('\x01');
+    int withGlyph = 0;
+    for (int code = -128; code < 128; ++code) {
+        const char c = char(code);
+        const bool expected = known.contains(c);
+        EXPECT_EQ(hasGlyph(c), expected) << code;
+        withGlyph += hasGlyph(c);
+        if (!expected) {
+            EXPECT_EQ(glyphFor(c).rows, box.rows) << code;
+        }
+    }
+    EXPECT_EQ(withGlyph, int(known.size()));
+    for (char c : {'~', '[', '\x7f', '\xff', '\x80'})
+        EXPECT_FALSE(hasGlyph(c)) << int(c);
+}
+
+/** The run decomposition glyphRunRects used when it built its vector
+ *  in place, kept verbatim as the reference. */
+std::vector<Rect>
+referenceRuns(char c, const Rect &box)
+{
+    std::vector<Rect> runs;
+    if (box.empty())
+        return runs;
+    const Glyph &g = glyphFor(c);
+    const int w = box.width();
+    const int h = box.height();
+    for (int r = 0; r < kGlyphRows; ++r) {
+        const int y0 = box.y0 + r * h / kGlyphRows;
+        const int y1 = box.y0 + (r + 1) * h / kGlyphRows;
+        if (y1 <= y0)
+            continue;
+        const std::uint8_t bits = g.rows[std::size_t(r)];
+        int col = 0;
+        while (col < kGlyphCols) {
+            if (!(bits & (1 << (kGlyphCols - 1 - col)))) {
+                ++col;
+                continue;
+            }
+            int end = col;
+            while (end < kGlyphCols &&
+                   (bits & (1 << (kGlyphCols - 1 - end))))
+                ++end;
+            const int x0 = box.x0 + col * w / kGlyphCols;
+            const int x1 = box.x0 + end * w / kGlyphCols;
+            if (x1 > x0)
+                runs.push_back(Rect{x0, y0, x1, y1});
+            col = end;
+        }
+    }
+    return runs;
+}
+
+TEST(FontTest, RunsMatchTheReferenceAtEverySmallSize)
+{
+    std::string chars = fontCharset() + " \x01~";
+    for (char c : chars)
+        for (int w = -1; w <= 24; ++w)
+            for (int h = -1; h <= 30; ++h) {
+                const Rect box = Rect::ofSize(-7 + w, 13 - h, w, h);
+                ASSERT_EQ(glyphRunRects(c, box), referenceRuns(c, box))
+                    << c << " " << w << "x" << h;
+            }
+}
+
 TEST(FontTest, PixelCountsAreRealistic)
 {
     // Narrow marks are lighter than wide letters.

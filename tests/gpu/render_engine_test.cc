@@ -4,7 +4,9 @@
 
 #include "gpu/model.h"
 #include "gpu/render_engine.h"
+#include "render_engine_reference.h"
 #include "util/event_queue.h"
+#include "util/rng.h"
 
 namespace gpusc::gpu {
 namespace {
@@ -157,6 +159,82 @@ TEST_F(RenderEngineTest, LargerScenesTakeLonger)
     const SimTime big =
         e2.submit(quadScene(1024, 1024)) - eq2.now();
     EXPECT_GT(big, small);
+}
+
+/** A few opaque and translucent quads in a random damage box. */
+gfx::FrameScene
+randomScene(Rng &rng)
+{
+    gfx::FrameScene s;
+    s.damage = gfx::Rect::ofSize(int(rng.uniformInt(0, 200)),
+                                 int(rng.uniformInt(0, 200)),
+                                 int(rng.uniformInt(8, 400)),
+                                 int(rng.uniformInt(8, 400)));
+    const int n = int(rng.uniformInt(1, 6));
+    for (int i = 0; i < n; ++i)
+        s.add(gfx::Rect::ofSize(int(rng.uniformInt(0, 500)),
+                                int(rng.uniformInt(0, 500)),
+                                int(rng.uniformInt(1, 300)),
+                                int(rng.uniformInt(1, 300))),
+              rng.bernoulli(0.7), gfx::PrimTag::AppContent);
+    return s;
+}
+
+/** Every read the engine serves, against the reference's job walk. */
+void
+expectSameReads(RenderEngine &fast, ref::RenderEngine &slow,
+                SimTime now)
+{
+    ASSERT_EQ(fast.readAll(), slow.readAll()) << "at " << now.ns();
+    for (int pid = 0; pid < 4; ++pid)
+        ASSERT_EQ(fast.readLocal(pid), slow.readLocal(pid))
+            << "pid " << pid << " at " << now.ns();
+    ASSERT_EQ(fast.busyPercent(), slow.busyPercent())
+        << "at " << now.ns();
+}
+
+/**
+ * Seeded random schedules: renders from several pids and compute
+ * jobs, with noise on in half of them, read at random times — mid
+ * job, on exact job boundaries, and after gaps longer than the
+ * reference's 500 ms retire age. The running-sum reads must equal
+ * the reference's walk over every job at every step.
+ */
+TEST(RenderEngineReferenceTest, RandomSchedulesReadLikeTheJobWalk)
+{
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+        SCOPED_TRACE(seed);
+        Rng rng(seed);
+        EventQueue eq;
+        RenderEngine fast(eq, adrenoModel(640), seed);
+        ref::RenderEngine slow(eq, adrenoModel(640), seed);
+        const double sigma = seed % 2 ? 2.5 : 0.0;
+        fast.setNoiseSigma(sigma);
+        slow.setNoiseSigma(sigma);
+        SimTime lastEnd;
+        for (int step = 0; step < 300; ++step) {
+            const std::int64_t op = rng.uniformInt(0, 11);
+            if (op < 4) {
+                const gfx::FrameScene s = randomScene(rng);
+                const int pid = int(rng.uniformInt(0, 3));
+                lastEnd = fast.submit(s, pid);
+                ASSERT_EQ(lastEnd, slow.submit(s, pid));
+            } else if (op == 4) {
+                const SimTime d = SimTime::fromUs(rng.uniformInt(0, 900));
+                lastEnd = fast.submitCompute(d);
+                ASSERT_EQ(lastEnd, slow.submitCompute(d));
+            } else if (op == 5 && lastEnd > eq.now()) {
+                eq.runUntil(lastEnd); // exactly on a job end
+            } else if (op == 6) {
+                eq.runUntil(eq.now() + SimTime::fromMs(
+                                           rng.uniformInt(501, 1500)));
+            } else {
+                eq.runUntil(eq.now() +
+                            SimTime::fromUs(rng.uniformInt(0, 400)));
+            }
+            expectSameReads(fast, slow, eq.now());
+        }
+    }
 }
 
 } // namespace

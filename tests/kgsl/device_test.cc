@@ -5,6 +5,7 @@
 #include "gpu/model.h"
 #include "gpu/render_engine.h"
 #include "kgsl/device.h"
+#include "kgsl/fault_injector.h"
 #include "kgsl/msm_kgsl.h"
 #include "util/event_queue.h"
 
@@ -197,6 +198,183 @@ TEST_F(KgslDeviceTest, BusyPercentageNode)
     engine_.submitCompute(100_ms);
     eq_.runUntil(eq_.now() + 50_ms);
     EXPECT_GT(dev_.gpuBusyPercentage(), 50.0);
+}
+
+// --- READ behaviour pinned across the reservation bitmask --------
+
+/** GET (@p group, @p countable) on @p fd; @return the ioctl result. */
+int
+get(KgslDevice &dev, int fd, std::uint32_t group, std::uint32_t countable)
+{
+    kgsl_perfcounter_get g;
+    g.groupid = group;
+    g.countable = countable;
+    return dev.ioctl(fd, IOCTL_KGSL_PERFCOUNTER_GET, &g);
+}
+
+int
+put(KgslDevice &dev, int fd, std::uint32_t group, std::uint32_t countable)
+{
+    kgsl_perfcounter_put p;
+    p.groupid = group;
+    p.countable = countable;
+    return dev.ioctl(fd, IOCTL_KGSL_PERFCOUNTER_PUT, &p);
+}
+
+/** READ @p entries (values preset to a sentinel) on @p fd. */
+int
+read(KgslDevice &dev, int fd,
+     std::vector<kgsl_perfcounter_read_group> &entries)
+{
+    for (kgsl_perfcounter_read_group &e : entries)
+        e.value = 0xABCD;
+    kgsl_perfcounter_read req;
+    req.reads = entries.data();
+    req.count = std::uint32_t(entries.size());
+    return dev.ioctl(fd, IOCTL_KGSL_PERFCOUNTER_READ, &req);
+}
+
+kgsl_perfcounter_read_group
+entry(std::uint32_t group, std::uint32_t countable)
+{
+    kgsl_perfcounter_read_group e;
+    e.groupid = group;
+    e.countable = countable;
+    return e;
+}
+
+TEST_F(KgslDeviceTest, ReadFailsAtTheFirstBadEntryInOrder)
+{
+    const int fd = openReserved(); // holds LRZ 18
+    const SimTime end = engine_.submit(quad());
+    eq_.runUntil(end + 1_ms);
+    constexpr std::uint32_t kLrz = KGSL_PERFCOUNTER_GROUP_LRZ;
+    // An unimplemented entry fails before the unreserved one behind
+    // it; entries ahead of it are already filled, later ones are not.
+    std::vector<kgsl_perfcounter_read_group> e = {
+        entry(kLrz, 18), entry(0xFFFFFFFF, 0xFFFFFFFF), entry(kLrz, 13)};
+    EXPECT_EQ(read(dev_, fd, e), -KGSL_EINVAL);
+    EXPECT_EQ(e[0].value, 64u * 64u);
+    EXPECT_EQ(e[1].value, 0xABCDu);
+    EXPECT_EQ(e[2].value, 0xABCDu);
+    // Implemented-but-unreserved fails the same way, at its slot.
+    e = {entry(kLrz, 18), entry(kLrz, 13), entry(0x55, 1)};
+    EXPECT_EQ(read(dev_, fd, e), -KGSL_EINVAL);
+    EXPECT_EQ(e[0].value, 64u * 64u);
+    EXPECT_EQ(e[1].value, 0xABCDu);
+    // Countables past a group's range (and past the mask's 32 bits)
+    // are unimplemented, never an out-of-range reservation lookup:
+    // 32 and 4096 must not alias the held countable 0's bit.
+    ASSERT_EQ(get(dev_, fd, kLrz, 0), 0);
+    for (std::uint32_t c : {26u, 31u, 32u, 4096u}) {
+        e = {entry(kLrz, c)};
+        EXPECT_EQ(read(dev_, fd, e), -KGSL_EINVAL) << c;
+        EXPECT_EQ(get(dev_, fd, kLrz, c), -KGSL_EINVAL) << c;
+        EXPECT_EQ(put(dev_, fd, kLrz, c), 0) << c;
+    }
+    EXPECT_EQ(dev_.totalReservations(), 2u);
+}
+
+TEST_F(KgslDeviceTest, ReservedUnselectedCountableReadsZero)
+{
+    const int fd = openReserved();
+    ASSERT_EQ(get(dev_, fd, KGSL_PERFCOUNTER_GROUP_CP, 5), 0);
+    ASSERT_EQ(get(dev_, fd, KGSL_PERFCOUNTER_GROUP_SP, 31), 0);
+    ASSERT_EQ(get(dev_, fd, KGSL_PERFCOUNTER_GROUP_LRZ, 0), 0);
+    const SimTime end = engine_.submit(quad());
+    eq_.runUntil(end + 1_ms);
+    std::vector<kgsl_perfcounter_read_group> e = {
+        entry(KGSL_PERFCOUNTER_GROUP_CP, 5),
+        entry(KGSL_PERFCOUNTER_GROUP_LRZ, 18),
+        entry(KGSL_PERFCOUNTER_GROUP_SP, 31),
+        entry(KGSL_PERFCOUNTER_GROUP_LRZ, 0)};
+    ASSERT_EQ(read(dev_, fd, e), 0);
+    EXPECT_EQ(e[0].value, 0u);
+    EXPECT_EQ(e[1].value, 64u * 64u);
+    EXPECT_EQ(e[2].value, 0u);
+    EXPECT_EQ(e[3].value, 0u);
+    EXPECT_EQ(dev_.totalReservations(), 4u);
+}
+
+TEST_F(KgslDeviceTest, ReGetThenOnePutReleases)
+{
+    FaultInjector fi(eq_, FaultPlan{});
+    dev_.setFaultInjector(&fi);
+    const int fd = dev_.open({100, "untrusted_app"});
+    constexpr std::uint32_t kRas = KGSL_PERFCOUNTER_GROUP_RAS;
+    ASSERT_EQ(get(dev_, fd, kRas, 4), 0);
+    ASSERT_EQ(get(dev_, fd, kRas, 4), 0); // re-GET holds no 2nd register
+    EXPECT_EQ(dev_.totalReservations(), 1u);
+    EXPECT_EQ(fi.heldRegisters(), 1u);
+    EXPECT_EQ(put(dev_, fd, kRas, 4), 0);
+    EXPECT_EQ(dev_.totalReservations(), 0u);
+    EXPECT_EQ(fi.heldRegisters(), 0u);
+    std::vector<kgsl_perfcounter_read_group> e = {entry(kRas, 4)};
+    EXPECT_EQ(read(dev_, fd, e), -KGSL_EINVAL);
+    // A second PUT of the released countable returns nothing twice.
+    EXPECT_EQ(put(dev_, fd, kRas, 4), 0);
+    EXPECT_EQ(fi.heldRegisters(), 0u);
+    dev_.setFaultInjector(nullptr);
+}
+
+/** Reserve every selected counter plus the edges of each group. */
+std::size_t
+reserveMany(KgslDevice &dev, int fd)
+{
+    std::size_t n = 0;
+    for (std::size_t i = 0; i < gpu::kNumSelectedCounters; ++i) {
+        const gpu::CounterId id = gpu::counterId(gpu::SelectedCounter(i));
+        EXPECT_EQ(get(dev, fd, id.group, id.countable), 0);
+        ++n;
+    }
+    for (auto [g, c] : {std::pair{KGSL_PERFCOUNTER_GROUP_CP, 0u},
+                        std::pair{KGSL_PERFCOUNTER_GROUP_CP, 31u},
+                        std::pair{KGSL_PERFCOUNTER_GROUP_SP, 31u},
+                        std::pair{KGSL_PERFCOUNTER_GROUP_LRZ, 25u}}) {
+        EXPECT_EQ(get(dev, fd, g, c), 0);
+        ++n;
+    }
+    return n;
+}
+
+TEST_F(KgslDeviceTest, CloseDropsEveryReservation)
+{
+    FaultInjector fi(eq_, FaultPlan{});
+    dev_.setFaultInjector(&fi);
+    const int keep = openReserved();
+    const int fd = dev_.open({100, "untrusted_app"});
+    const std::size_t n = reserveMany(dev_, fd);
+    EXPECT_EQ(dev_.totalReservations(), n + 1);
+    EXPECT_EQ(fi.heldRegisters(), std::uint32_t(n + 1));
+    EXPECT_EQ(dev_.close(fd), 0);
+    // The other descriptor keeps its one reservation and register.
+    EXPECT_EQ(dev_.totalReservations(), 1u);
+    EXPECT_EQ(fi.heldRegisters(), 1u);
+    EXPECT_EQ(readPixel(keep), 0u);
+    EXPECT_EQ(dev_.close(keep), 0);
+    EXPECT_EQ(fi.heldRegisters(), 0u);
+    dev_.setFaultInjector(nullptr);
+}
+
+TEST_F(KgslDeviceTest, ResetEpochDropsEveryReservation)
+{
+    FaultPlan plan;
+    plan.deviceResets = {SimTime::fromMs(10)};
+    FaultInjector fi(eq_, plan);
+    dev_.setFaultInjector(&fi);
+    const int fd = dev_.open({100, "untrusted_app"});
+    const std::size_t n = reserveMany(dev_, fd);
+    EXPECT_EQ(fi.heldRegisters(), std::uint32_t(n));
+    eq_.runUntil(20_ms);
+    std::vector<kgsl_perfcounter_read_group> e = {
+        entry(KGSL_PERFCOUNTER_GROUP_LRZ, 18)};
+    EXPECT_EQ(read(dev_, fd, e), -KGSL_ENODEV);
+    EXPECT_EQ(dev_.totalReservations(), 0u);
+    EXPECT_EQ(fi.heldRegisters(), 0u);
+    // Closing the stale fd releases nothing twice.
+    EXPECT_EQ(dev_.close(fd), 0);
+    EXPECT_EQ(fi.heldRegisters(), 0u);
+    dev_.setFaultInjector(nullptr);
 }
 
 TEST(KgslHardwareTest, ImplementedCountables)

@@ -378,12 +378,115 @@ TEST(TraceFormatTest, WriterWithoutOpenReportsNotOpen)
     EXPECT_EQ(r.next(rec, eof), TraceError::NotOpen);
 }
 
+/** All records of @p path, asserting a clean read to EOF. */
+std::vector<TraceRecord>
+readAll(const std::string &path)
+{
+    TraceReader r;
+    EXPECT_EQ(r.open(path), TraceError::None);
+    std::vector<TraceRecord> recs;
+    TraceRecord rec;
+    bool eof = false;
+    while (r.next(rec, eof) == TraceError::None && !eof)
+        recs.push_back(rec);
+    EXPECT_TRUE(eof);
+    return recs;
+}
+
+TEST(TraceFormatTest, TrialBeginAtTheLengthLimitRoundTrips)
+{
+    setVerbose(false);
+    const std::string path = ::testing::TempDir() + "limit.gpct";
+    const std::string longest(65535, 'x');
+    TraceWriter w;
+    ASSERT_EQ(w.open(path, testHeader()), TraceError::None);
+    EXPECT_EQ(w.writeTrialBegin(SimTime::fromMs(1), longest),
+              TraceError::None);
+    EXPECT_EQ(w.writeReading(testReading(8, 1000)), TraceError::None);
+    EXPECT_EQ(w.close(), TraceError::None);
+
+    const std::vector<TraceRecord> recs = readAll(path);
+    ASSERT_EQ(recs.size(), 2u);
+    EXPECT_EQ(recs[0].text, longest);
+    EXPECT_EQ(recs[1].reading.totals, testReading(8, 1000).totals);
+    std::remove(path.c_str());
+}
+
+TEST(TraceFormatTest, OverlongTrialBeginIsRefusedAndWritesNothing)
+{
+    setVerbose(false);
+    const std::string refused = ::testing::TempDir() + "refused.gpct";
+    const std::string plain = ::testing::TempDir() + "plain.gpct";
+    for (const std::string &path : {refused, plain}) {
+        TraceWriter w;
+        ASSERT_EQ(w.open(path, testHeader()), TraceError::None);
+        EXPECT_EQ(w.writeTrialBegin(SimTime::fromMs(1), "secret"),
+                  TraceError::None);
+        if (path == refused) {
+            EXPECT_EQ(w.writeTrialBegin(SimTime::fromMs(2),
+                                        std::string(65536, 'y')),
+                      TraceError::FieldTooLong);
+            EXPECT_EQ(w.recordCount(), 1u);
+        }
+        EXPECT_EQ(w.writeReading(testReading(8, 1000)),
+                  TraceError::None);
+        // The refusal sticks, so a caller checking only close() sees it.
+        EXPECT_EQ(w.close(), path == refused ? TraceError::FieldTooLong
+                                             : TraceError::None);
+    }
+    // Nothing of the refused record reached the file, which verifies.
+    EXPECT_EQ(slurp(refused), slurp(plain));
+    std::uint64_t records = 0;
+    EXPECT_EQ(TraceReader::verifyFile(refused, &records),
+              TraceError::None);
+    EXPECT_EQ(records, 2u);
+    std::remove(refused.c_str());
+    std::remove(plain.c_str());
+}
+
+TEST(TraceFormatTest, OverlongHeaderIsRefusedBeforeTheFileIsTouched)
+{
+    setVerbose(false);
+    const std::string path = ::testing::TempDir() + "header.gpct";
+    std::remove(path.c_str());
+    TraceWriter w;
+    TraceHeader h = testHeader();
+    h.deviceKey = std::string(65536, 'k');
+    EXPECT_EQ(w.open(path, h), TraceError::FieldTooLong);
+    EXPECT_FALSE(w.isOpen());
+    EXPECT_EQ(std::fopen(path.c_str(), "rb"), nullptr);
+    // Strings that fit one by one but overflow the u16 payload length.
+    h.deviceKey = std::string(40000, 'k');
+    h.device.phone = std::string(40000, 'p');
+    EXPECT_EQ(w.open(path, h), TraceError::FieldTooLong);
+    EXPECT_EQ(std::fopen(path.c_str(), "rb"), nullptr);
+
+    // A payload of exactly 65,535 bytes still round-trips.
+    h = testHeader();
+    h.deviceKey.clear();
+    const std::size_t framing = 12; // magic, version, length, CRC
+    const std::size_t rest = encodeHeader(h).size() - framing;
+    h.deviceKey = std::string(65535 - rest, 'k');
+    ASSERT_EQ(encodeHeader(h).size(), 65535 + framing);
+    ASSERT_EQ(w.open(path, h), TraceError::None);
+    EXPECT_EQ(w.close(), TraceError::None);
+    TraceHeader back;
+    EXPECT_EQ(TraceReader::verifyFile(path, nullptr, &back),
+              TraceError::None);
+    EXPECT_EQ(back.deviceKey, h.deviceKey);
+    h.deviceKey += 'k';
+    EXPECT_TRUE(encodeHeader(h).empty());
+    std::remove(path.c_str());
+}
+
 TEST(TraceFormatTest, ErrorStringsAreStable)
 {
     EXPECT_STREQ(traceErrorString(TraceError::None), "None");
     EXPECT_STREQ(traceErrorString(TraceError::RecordCrcMismatch),
                  "RecordCrcMismatch");
     EXPECT_STREQ(traceErrorString(TraceError::BadMagic), "BadMagic");
+    EXPECT_STREQ(traceErrorString(TraceError::FieldTooLong),
+                 "FieldTooLong");
 }
 
 } // namespace

@@ -45,6 +45,27 @@ TEST(BinaryIoTest, EveryWidthRoundTrips)
     EXPECT_TRUE(r.atEnd());
 }
 
+TEST(BinaryIoTest, Str16FailsClosedPastItsLengthField)
+{
+    ByteWriter w;
+    const std::string longest(ByteWriter::kMaxStr16, 'a');
+    w.str16(longest);
+    EXPECT_TRUE(w.ok());
+    EXPECT_EQ(w.size(), 2u + longest.size());
+    // One byte more cannot be framed: nothing is written, ok() drops.
+    w.str16(std::string(ByteWriter::kMaxStr16 + 1, 'b'));
+    EXPECT_FALSE(w.ok());
+    EXPECT_EQ(w.size(), 2u + longest.size());
+    w.str16("after"); // the failure is sticky
+    EXPECT_FALSE(w.ok());
+
+    const std::vector<std::uint8_t> bytes = w.take();
+    ByteReader r(bytes);
+    EXPECT_EQ(r.str16(), longest);
+    EXPECT_EQ(r.str16(), "after");
+    EXPECT_TRUE(r.atEnd());
+}
+
 TEST(BinaryIoTest, RawOfNothingIsANoOp)
 {
     ByteWriter w;
