@@ -17,6 +17,8 @@
 #include <cstdlib>
 #include <string>
 
+#include <unistd.h>
+
 #include "trace/trace_replayer.h"
 #include "trace/trace_writer.h"
 #include "util/logging.h"
@@ -50,7 +52,10 @@ benchModel()
 std::string
 synthesizeTrace(std::uint64_t n)
 {
-    const std::string path = "/tmp/gpusc_replay_bench.gpct";
+    // Unique per process: two runs at once (two build trees, or
+    // ctest -j) must not overwrite each other's trace.
+    const std::string path = "/tmp/gpusc_replay_bench." +
+                             std::to_string(::getpid()) + ".gpct";
     trace::TraceHeader header;
     header.deviceKey = "bench/synthetic";
     header.seed = 7;

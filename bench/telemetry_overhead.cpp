@@ -24,6 +24,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "obs/telemetry.h"
 #include "trace/trace_replayer.h"
 #include "trace/trace_writer.h"
@@ -58,7 +60,10 @@ benchModel()
 std::string
 synthesizeTrace(std::uint64_t n)
 {
-    const std::string path = "/tmp/gpusc_telemetry_bench.gpct";
+    // Unique per process: two runs at once (two build trees, or
+    // ctest -j) must not overwrite each other's trace.
+    const std::string path = "/tmp/gpusc_telemetry_bench." +
+                             std::to_string(::getpid()) + ".gpct";
     trace::TraceHeader header;
     header.deviceKey = "bench/synthetic";
     header.seed = 7;

@@ -128,7 +128,7 @@ ModelStore::saveToFile(const std::string &path) const
     envelope.u64(payload.size());
     envelope.raw(payload.data(), payload.size());
     envelope.u32(crc32(payload));
-    const std::vector<std::uint8_t> &blob = envelope.bytes();
+    const std::span<const std::uint8_t> blob = envelope.bytes();
     const bool ok =
         std::fwrite(blob.data(), 1, blob.size(), f) == blob.size();
     std::fclose(f);

@@ -28,7 +28,7 @@ enum class TraceError
     RecordCrcMismatch, ///< record payload corrupted
     BadRecordKind,     ///< unknown record type byte
     BadRecordPayload,  ///< payload malformed for its kind
-    FieldTooLong,      ///< a string or the header exceeds its u16 length
+    FieldTooLong,      ///< a value does not fit its field
 };
 
 /** Stable human-readable name, e.g. "RecordCrcMismatch". */

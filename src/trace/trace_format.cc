@@ -107,51 +107,51 @@ decodeHeader(ByteReader &reader, TraceHeader &out)
     return TraceError::None;
 }
 
-std::vector<std::uint8_t>
-encodeRecord(const TraceRecord &r)
+bool
+encodeRecord(const TraceRecord &r, ByteWriter &out)
 {
-    ByteWriter payload;
-    payload.i64(r.time.ns());
+    const std::size_t at = out.size();
+    out.u8(std::uint8_t(r.kind));
+    out.u32(0); // payload length, patched below
+    out.i64(r.time.ns());
+    bool fits = true;
     switch (r.kind) {
       case RecordKind::Reading:
         for (std::uint64_t v : r.reading.totals)
-            payload.u64(v);
+            out.u64(v);
         break;
       case RecordKind::KeyPress:
       case RecordKind::PopupShow:
-        payload.u8(std::uint8_t(r.ch));
+        out.u8(std::uint8_t(r.ch));
         break;
       case RecordKind::PageSwitch:
-        payload.u8(std::uint8_t(r.page));
+        fits = r.page >= 0 && r.page <= 0xFF;
+        out.u8(std::uint8_t(r.page));
         break;
       case RecordKind::AppSwitch:
-        payload.u8(r.toTarget ? 1 : 0);
+        out.u8(r.toTarget ? 1 : 0);
         break;
       case RecordKind::TrialBegin:
-        payload.str16(r.text);
+        out.str16(r.text);
         break;
       case RecordKind::Fault:
-        payload.u8(std::uint8_t(r.fault));
-        payload.u64(r.faultDetail);
+        out.u8(std::uint8_t(r.fault));
+        out.u64(r.faultDetail);
         break;
       case RecordKind::Backspace:
       case RecordKind::TrialEnd:
         break;
     }
-    if (!payload.ok())
-        return {};
-
-    ByteWriter out;
-    out.u8(std::uint8_t(r.kind));
-    out.u32(std::uint32_t(payload.size()));
-    out.raw(payload.bytes().data(), payload.size());
+    if (!fits || !out.ok()) {
+        out.rewind(at);
+        return false;
+    }
+    out.patchU32(at + 1, std::uint32_t(out.size() - at -
+                                       kRecordPrefixBytes));
     // CRC covers the frame prefix too, so a corrupted length or kind
     // byte is caught as well.
-    const std::uint32_t crc =
-        crc32(payload.bytes(),
-              crc32(out.bytes().data(), 5 /* kind + length */));
-    out.u32(crc);
-    return out.take();
+    out.u32(crc32(out.bytes().subspan(at)));
+    return true;
 }
 
 TraceError

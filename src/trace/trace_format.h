@@ -30,6 +30,7 @@
 #ifndef GPUSC_TRACE_TRACE_FORMAT_H
 #define GPUSC_TRACE_TRACE_FORMAT_H
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -131,17 +132,31 @@ TraceError decodeHeader(ByteReader &reader, TraceHeader &out);
 
 // --- Record codec --------------------------------------------------
 
+/** Bytes of a record frame before its payload: u8 kind + u32 length. */
+inline constexpr std::size_t kRecordPrefixBytes = 5;
+/** Bytes of a record frame after its payload: the u32 CRC. */
+inline constexpr std::size_t kRecordCrcBytes = 4;
 /**
- * Serialise one record frame (kind through CRC).
- * @return empty if the TrialBegin text does not fit its u16 length
- * field (TraceError::FieldTooLong for writers).
+ * I/O block of TraceWriter and TraceReader: the writer writes its
+ * frames out once they fill this many bytes and the reader refills
+ * this many at a time, so one fwrite/fread moves a block, not a
+ * frame. A longer frame still fits: the block grows to hold it (a
+ * TrialBegin frame can reach 65,554 bytes).
  */
-std::vector<std::uint8_t> encodeRecord(const TraceRecord &r);
+inline constexpr std::size_t kTraceBlockBytes = 64 * 1024;
 
 /**
- * Decode one record frame from @p frame (the bytes between the
- * 5-byte kind+length prefix and the trailing CRC having already been
- * sliced out by the reader). @p version is the containing file's
+ * Append one record frame (kind through CRC) to @p out.
+ * @return false, with nothing appended, if a value does not fit its
+ * field: a TrialBegin text over 65,535 bytes, or a PageSwitch page
+ * outside 0..255 (TraceError::FieldTooLong for writers).
+ */
+bool encodeRecord(const TraceRecord &r, ByteWriter &out);
+
+/**
+ * Decode one record payload: the bytes between a frame's 5-byte
+ * kind+length prefix and its trailing CRC, which the reader has
+ * already checked. @p version is the containing file's
  * format version; kinds newer than it are a format error.
  */
 TraceError decodePayload(std::uint8_t kind,

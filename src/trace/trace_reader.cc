@@ -27,41 +27,31 @@ TraceReader::open(const std::string &path)
     file_ = std::fopen(path.c_str(), "rb");
     if (!file_)
         return error_ = TraceError::IoOpen;
+    // The block is the buffer: each fread goes straight to the file.
+    std::setvbuf(file_, nullptr, _IONBF, 0);
+    if (block_.size() < kTraceBlockBytes)
+        block_.resize(kTraceBlockBytes);
 
     // Fixed prefix: magic + version + payload length.
-    std::uint8_t prefix[8];
-    if (std::fread(prefix, 1, sizeof(prefix), file_) !=
-        sizeof(prefix)) {
-        close();
-        return error_ = TraceError::TruncatedHeader;
-    }
+    constexpr std::size_t kPrefix = 8;
+    if (fill(kPrefix) < kPrefix)
+        return fail(TraceError::TruncatedHeader);
     // Validate magic + version before trusting the payload length:
     // a non-trace file must report BadMagic, not a bogus truncation.
-    ByteReader pr(prefix, sizeof(prefix));
-    if (pr.u32() != kTraceMagic) {
-        close();
-        return error_ = TraceError::BadMagic;
-    }
+    ByteReader pr(block_.data() + pos_, kPrefix);
+    if (pr.u32() != kTraceMagic)
+        return fail(TraceError::BadMagic);
     const std::uint16_t version = pr.u16();
-    if (version < kTraceMinVersion || version > kTraceVersion) {
-        close();
-        return error_ = TraceError::BadVersion;
-    }
-    const std::uint16_t payloadLen = pr.u16();
-
-    std::vector<std::uint8_t> block(sizeof(prefix) + payloadLen + 4);
-    std::memcpy(block.data(), prefix, sizeof(prefix));
-    if (std::fread(block.data() + sizeof(prefix), 1, payloadLen + 4u,
-                   file_) != payloadLen + 4u) {
-        close();
-        return error_ = TraceError::TruncatedHeader;
-    }
-    ByteReader r(block);
+    if (version < kTraceMinVersion || version > kTraceVersion)
+        return fail(TraceError::BadVersion);
+    const std::size_t headerLen = kPrefix + pr.u16() + 4;
+    if (fill(headerLen) < headerLen)
+        return fail(TraceError::TruncatedHeader);
+    ByteReader r(block_.data() + pos_, headerLen);
     const TraceError err = decodeHeader(r, header_);
-    if (err != TraceError::None) {
-        close();
-        return error_ = err;
-    }
+    if (err != TraceError::None)
+        return fail(err);
+    pos_ += headerLen;
     return TraceError::None;
 }
 
@@ -73,54 +63,58 @@ TraceReader::next(TraceRecord &out, bool &eof)
         return error_ != TraceError::None ? error_
                                           : TraceError::NotOpen;
 
-    std::uint8_t frame[5];
-    const std::size_t got = std::fread(frame, 1, sizeof(frame), file_);
+    const std::size_t got = fill(kRecordPrefixBytes);
     if (got == 0 && std::feof(file_)) {
         eof = true;
         return TraceError::None;
     }
-    if (got != sizeof(frame)) {
-        close();
-        return error_ = TraceError::TruncatedRecord;
-    }
-    ByteReader fr(frame, sizeof(frame));
+    if (got < kRecordPrefixBytes)
+        return fail(TraceError::TruncatedRecord);
+    ByteReader fr(block_.data() + pos_, kRecordPrefixBytes);
     const std::uint8_t kind = fr.u8();
     const std::uint32_t payloadLen = fr.u32();
-    if (payloadLen > kMaxRecordPayload) {
-        close();
-        return error_ = TraceError::BadRecordPayload;
-    }
+    if (payloadLen > kMaxRecordPayload)
+        return fail(TraceError::BadRecordPayload);
 
-    std::vector<std::uint8_t> payload(payloadLen);
-    if (payloadLen > 0 &&
-        std::fread(payload.data(), 1, payloadLen, file_) !=
-            payloadLen) {
-        close();
-        return error_ = TraceError::TruncatedRecord;
-    }
-    std::uint8_t crcBytes[4];
-    if (std::fread(crcBytes, 1, sizeof(crcBytes), file_) !=
-        sizeof(crcBytes)) {
-        close();
-        return error_ = TraceError::TruncatedRecord;
-    }
-    ByteReader cr(crcBytes, sizeof(crcBytes));
-    const std::uint32_t storedCrc = cr.u32();
-    const std::uint32_t crc =
-        crc32(payload, crc32(frame, sizeof(frame)));
-    if (crc != storedCrc) {
-        close();
-        return error_ = TraceError::RecordCrcMismatch;
-    }
+    const std::size_t body = kRecordPrefixBytes + payloadLen;
+    const std::size_t frameLen = body + kRecordCrcBytes;
+    if (fill(frameLen) < frameLen)
+        return fail(TraceError::TruncatedRecord);
+    const std::uint8_t *frame = block_.data() + pos_;
+    ByteReader cr(frame + body, kRecordCrcBytes);
+    if (crc32(frame, body) != cr.u32())
+        return fail(TraceError::RecordCrcMismatch);
 
-    const TraceError err = decodePayload(
-        kind, payload.data(), payload.size(), out, header_.version);
-    if (err != TraceError::None) {
-        close();
-        return error_ = err;
-    }
+    const TraceError err =
+        decodePayload(kind, frame + kRecordPrefixBytes, payloadLen, out,
+                      header_.version);
+    if (err != TraceError::None)
+        return fail(err);
+    pos_ += frameLen;
     ++records_;
     return TraceError::None;
+}
+
+std::size_t
+TraceReader::fill(std::size_t n)
+{
+    if (end_ - pos_ >= n)
+        return end_ - pos_;
+    end_ -= pos_;
+    std::memmove(block_.data(), block_.data() + pos_, end_);
+    pos_ = 0;
+    if (block_.size() < n)
+        block_.resize(n);
+    end_ += std::fread(block_.data() + end_, 1, block_.size() - end_,
+                       file_);
+    return end_;
+}
+
+TraceError
+TraceReader::fail(TraceError err)
+{
+    close();
+    return error_ = err;
 }
 
 void
@@ -130,6 +124,7 @@ TraceReader::close()
         std::fclose(file_);
         file_ = nullptr;
     }
+    pos_ = end_ = 0;
 }
 
 TraceError

@@ -27,11 +27,13 @@ TraceWriter::open(const std::string &path, const TraceHeader &h)
              path.c_str());
         return error_ = TraceError::IoOpen;
     }
-    if (std::fwrite(hdr.data(), 1, hdr.size(), file_) != hdr.size()) {
-        std::fclose(file_);
-        file_ = nullptr;
-        return error_ = TraceError::IoWrite;
-    }
+    // The block is the buffer: each fwrite goes straight to the file.
+    std::setvbuf(file_, nullptr, _IONBF, 0);
+    // Room for a full block plus the frame that fills it, so frames
+    // up to a block long never grow the storage.
+    block_.rewind(0);
+    block_.reserve(2 * kTraceBlockBytes);
+    block_.raw(hdr.data(), hdr.size());
     return TraceError::None;
 }
 
@@ -40,21 +42,30 @@ TraceWriter::write(const TraceRecord &r)
 {
     if (!file_)
         return TraceError::NotOpen;
-    const std::vector<std::uint8_t> frame = encodeRecord(r);
-    if (frame.empty()) {
+    if (!encodeRecord(r, block_)) {
         // Nothing written: the file stays valid, the refusal sticks.
         if (error_ == TraceError::None)
             error_ = TraceError::FieldTooLong;
         return TraceError::FieldTooLong;
     }
-    if (std::fwrite(frame.data(), 1, frame.size(), file_) !=
-        frame.size()) {
-        if (error_ == TraceError::None)
-            error_ = TraceError::IoWrite;
-        return TraceError::IoWrite;
-    }
     ++records_;
-    return TraceError::None;
+    return block_.size() >= kTraceBlockBytes ? flushBlock()
+                                             : TraceError::None;
+}
+
+TraceError
+TraceWriter::flushBlock()
+{
+    const std::span<const std::uint8_t> bytes = block_.bytes();
+    const bool written =
+        std::fwrite(bytes.data(), 1, bytes.size(), file_) ==
+        bytes.size();
+    block_.rewind(0);
+    if (written)
+        return TraceError::None;
+    if (error_ == TraceError::None)
+        error_ = TraceError::IoWrite;
+    return TraceError::IoWrite;
 }
 
 TraceError
@@ -152,9 +163,9 @@ TraceWriter::close()
 {
     if (!file_)
         return error_;
-    if (std::fflush(file_) != 0 && error_ == TraceError::None)
+    flushBlock();
+    if (std::fclose(file_) != 0 && error_ == TraceError::None)
         error_ = TraceError::IoWrite;
-    std::fclose(file_);
     file_ = nullptr;
     return error_;
 }

@@ -2,10 +2,15 @@
  * @file
  * Streaming writer for .gpct trace files.
  *
- * Records are framed and CRC-protected individually (see
- * trace_format.h), so a crash mid-recording leaves a file whose
- * intact prefix is still fully readable — the reader reports the torn
- * tail as TruncatedRecord instead of discarding the session.
+ * The writer encodes the header and every record frame into one
+ * reused block and writes it out with one fwrite once it holds
+ * 64 KiB (kTraceBlockBytes) and on close(), so a steady stream of
+ * records allocates nothing. Records are framed and CRC-protected
+ * individually (see trace_format.h), so a crash mid-recording leaves
+ * a file whose intact prefix is still fully readable — the reader
+ * reports the torn tail as TruncatedRecord instead of discarding the
+ * session. Such a crash loses the frames still in the block: up to
+ * one block's worth.
  */
 
 #ifndef GPUSC_TRACE_TRACE_WRITER_H
@@ -29,15 +34,20 @@ class TraceWriter
     TraceWriter &operator=(const TraceWriter &) = delete;
 
     /**
-     * Create/truncate @p path and write the header block. A header
-     * whose strings or payload exceed their u16 length fields is
-     * refused with FieldTooLong before the file is touched.
+     * Create/truncate @p path and start the block with the header. A
+     * header whose strings or payload exceed their u16 length fields
+     * is refused with FieldTooLong before the file is touched.
      */
     TraceError open(const std::string &path, const TraceHeader &h);
 
     /**
-     * Append one record frame. A TrialBegin text over 65,535 bytes is
-     * refused with FieldTooLong and nothing is written.
+     * Append one record frame to the block, writing the block out
+     * once it is full. A value that does not fit its field (a
+     * TrialBegin text over 65,535 bytes, a PageSwitch page outside
+     * 0..255) is refused with FieldTooLong and nothing is written.
+     * A frame accepted into the block is counted; a failed write of
+     * the block surfaces as IoWrite on the write() or close() that
+     * flushes it.
      */
     TraceError write(const TraceRecord &r);
 
@@ -53,7 +63,8 @@ class TraceWriter
     TraceError writeFault(SimTime t, kgsl::FaultKind kind,
                           std::uint64_t detail);
 
-    /** Flush and close; returns the first error seen, if any. */
+    /** Write out the block and close; returns the first error seen,
+     *  if any. */
     TraceError close();
 
     bool isOpen() const { return file_ != nullptr; }
@@ -62,7 +73,12 @@ class TraceWriter
     TraceError error() const { return error_; }
 
   private:
+    /** Write the block to the file and empty it. */
+    TraceError flushBlock();
+
     std::FILE *file_ = nullptr;
+    /** Encoded frames not yet written to the file. */
+    ByteWriter block_;
     std::uint64_t records_ = 0;
     TraceError error_ = TraceError::None;
 };

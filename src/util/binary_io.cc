@@ -51,7 +51,7 @@ crc32(const std::uint8_t *data, std::size_t size, std::uint32_t seed)
 }
 
 std::uint32_t
-crc32(const std::vector<std::uint8_t> &data, std::uint32_t seed)
+crc32(std::span<const std::uint8_t> data, std::uint32_t seed)
 {
     return crc32(data.data(), data.size(), seed);
 }
@@ -65,6 +65,27 @@ ByteWriter::str16(const std::string &s)
     }
     u16(std::uint16_t(s.size()));
     raw(reinterpret_cast<const std::uint8_t *>(s.data()), s.size());
+}
+
+void
+ByteWriter::reserve(std::size_t bytes)
+{
+    if (buf_.size() < bytes)
+        buf_.resize(bytes);
+}
+
+void
+ByteWriter::grow(std::size_t n)
+{
+    reserve(std::max(2 * buf_.size(), size_ + n));
+}
+
+std::vector<std::uint8_t>
+ByteWriter::take()
+{
+    buf_.resize(size_);
+    size_ = 0;
+    return std::move(buf_);
 }
 
 } // namespace gpusc

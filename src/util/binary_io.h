@@ -5,17 +5,23 @@
  * Every on-disk artefact of this project (signature-model stores,
  * recorded performance-counter traces) goes through these two
  * classes so framing, bounds checking and corruption detection are
- * implemented exactly once. ByteReader never reads out of bounds:
- * a short or malformed buffer flips a sticky failure flag and all
- * further reads return zero values, letting parsers finish cleanly
- * and report a typed error instead of crashing.
+ * implemented exactly once. ByteWriter appends in O(1): it tracks its
+ * own length in storage that grows geometrically and is kept across
+ * rewind(), so a caller can reuse one writer as an I/O block and
+ * patch a length field once the bytes it covers are written.
+ * ByteReader never reads out of bounds: a short or malformed buffer
+ * flips a sticky failure flag and all further reads return zero
+ * values, letting parsers finish cleanly and report a typed error
+ * instead of crashing.
  */
 
 #ifndef GPUSC_UTIL_BINARY_IO_H
 #define GPUSC_UTIL_BINARY_IO_H
 
+#include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -24,20 +30,14 @@ namespace gpusc {
 /** CRC-32 (IEEE 802.3, reflected) of @p data; chainable via @p seed. */
 std::uint32_t crc32(const std::uint8_t *data, std::size_t size,
                     std::uint32_t seed = 0);
-std::uint32_t crc32(const std::vector<std::uint8_t> &data,
+std::uint32_t crc32(std::span<const std::uint8_t> data,
                     std::uint32_t seed = 0);
 
-/** Appends fixed-width little-endian values to a byte vector. */
+/** Appends fixed-width little-endian values to a byte buffer. */
 class ByteWriter
 {
   public:
-    ByteWriter() = default;
-    explicit ByteWriter(std::vector<std::uint8_t> &&initial)
-        : buf_(std::move(initial))
-    {
-    }
-
-    void u8(std::uint8_t v) { raw(&v, 1); }
+    void u8(std::uint8_t v) { pod(v); }
     void u16(std::uint16_t v) { pod(v); }
     void u32(std::uint32_t v) { pod(v); }
     void u64(std::uint64_t v) { pod(v); }
@@ -58,23 +58,45 @@ class ByteWriter
 
     void raw(const std::uint8_t *p, std::size_t n)
     {
-        // resize + memcpy rather than a range insert: GCC 12 at -O3
-        // reports a false -Wstringop-overflow on the inlined insert.
         // Empty appends return first, so a null @p p never reaches
         // memcpy.
         if (n == 0)
             return;
-        const std::size_t at = buf_.size();
-        buf_.resize(at + n);
-        std::memcpy(buf_.data() + at, p, n);
+        std::memcpy(extend(n), p, n);
     }
 
-    const std::vector<std::uint8_t> &bytes() const { return buf_; }
-    std::vector<std::uint8_t> take() { return std::move(buf_); }
-    std::size_t size() const { return buf_.size(); }
+    /** Overwrite the 4 bytes at @p at (at + 4 <= size()) with @p v,
+     *  e.g. a length prefix once the bytes it covers are written. */
+    void patchU32(std::size_t at, std::uint32_t v)
+    {
+        std::memcpy(buf_.data() + at, &v, sizeof(v));
+    }
 
-    /** False once a value did not fit its field (sticky); the bytes
-     *  are then not a valid encoding. */
+    /**
+     * Drop every byte after the first @p size (no-op past size())
+     * and clear the failure flag, e.g. to take back a refused frame.
+     * @p size must be a size() taken while ok() held. The storage is
+     * kept, so refilling it allocates nothing.
+     */
+    void rewind(std::size_t size)
+    {
+        size_ = std::min(size_, size);
+        ok_ = true;
+    }
+
+    /** Grow the storage to at least @p bytes without writing any. */
+    void reserve(std::size_t bytes);
+
+    std::span<const std::uint8_t> bytes() const
+    {
+        return {buf_.data(), size_};
+    }
+    /** The bytes written; leaves the writer empty. */
+    std::vector<std::uint8_t> take();
+    std::size_t size() const { return size_; }
+
+    /** False once a value did not fit its field (sticky until
+     *  rewind()); the bytes are then not a valid encoding. */
     bool ok() const { return ok_; }
 
   private:
@@ -82,12 +104,27 @@ class ByteWriter
     void
     pod(T v)
     {
-        std::uint8_t tmp[sizeof(T)];
-        std::memcpy(tmp, &v, sizeof(T));
-        raw(tmp, sizeof(T));
+        std::memcpy(extend(sizeof(T)), &v, sizeof(T));
     }
 
+    /** Claim @p n bytes at the end; @return where they start. */
+    std::uint8_t *
+    extend(std::size_t n)
+    {
+        if (buf_.size() - size_ < n)
+            grow(n);
+        std::uint8_t *at = buf_.data() + size_;
+        size_ += n;
+        return at;
+    }
+
+    /** Out of line: make room for @p n more bytes, at least doubling
+     *  the storage. */
+    void grow(std::size_t n);
+
+    /** Storage; its size() is the capacity, size_ the bytes used. */
     std::vector<std::uint8_t> buf_;
+    std::size_t size_ = 0;
     bool ok_ = true;
 };
 

@@ -5,18 +5,24 @@
  * The sampler ticks every 8 ms and the display vsyncs every ~16.7 ms
  * whether or not anything is typed, so these two events dominate a
  * trial's event count; the tests pin that they schedule and dispatch
- * without touching the heap.
+ * without touching the heap. A recorded trace is that stream of
+ * readings, so the trace codec is pinned the same way.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <string>
+
+#include <unistd.h>
 
 #include "alloc_counter.h"
 #include "android/device.h"
 #include "attack/eavesdropper.h"
 #include "attack/sampler.h"
 #include "attack/trainer.h"
+#include "trace/trace_reader.h"
+#include "trace/trace_writer.h"
 #include "util/event_queue.h"
 
 namespace gpusc {
@@ -120,6 +126,56 @@ TEST(SteadyStateAllocTest, EavesdroppedIdleLoginScreen)
     ASSERT_TRUE(spy.start());
     const std::uint64_t a = steadyStateAllocations(dev);
     RecordProperty("allocations", int(a));
+}
+
+TEST(SteadyStateAllocTest, TraceCodecAllocatesNothingPerRecord)
+{
+    constexpr int kWarmUp = 1000;
+    constexpr int kMeasured = 19000;
+    const std::string path = ::testing::TempDir() + "alloc_codec." +
+                             std::to_string(::getpid()) + ".gpct";
+    attack::Reading r;
+    auto nextReading = [&r](int i) {
+        r.time = SimTime::fromMs(8 * i);
+        for (std::size_t d = 0; d < r.totals.size(); ++d)
+            r.totals[d] += std::uint64_t(i) * (d + 1);
+        return r;
+    };
+
+    trace::TraceWriter writer;
+    ASSERT_EQ(writer.open(path, trace::TraceHeader{}),
+              trace::TraceError::None);
+    int i = 0;
+    for (; i < kWarmUp; ++i)
+        ASSERT_EQ(writer.writeReading(nextReading(i)),
+                  trace::TraceError::None);
+    std::uint64_t allocs = heapAllocations();
+    for (; i < kWarmUp + kMeasured; ++i)
+        writer.writeReading(nextReading(i));
+    const std::uint64_t written = heapAllocations() - allocs;
+    ASSERT_EQ(writer.close(), trace::TraceError::None);
+
+    trace::TraceReader reader;
+    ASSERT_EQ(reader.open(path), trace::TraceError::None);
+    trace::TraceRecord rec;
+    bool eof = false;
+    for (int k = 0; k < kWarmUp; ++k)
+        ASSERT_EQ(reader.next(rec, eof), trace::TraceError::None);
+    allocs = heapAllocations();
+    std::uint64_t readings = 0;
+    for (int k = 0; k < kMeasured; ++k) {
+        reader.next(rec, eof);
+        readings += !eof && rec.kind == trace::RecordKind::Reading;
+    }
+    const std::uint64_t read = heapAllocations() - allocs;
+    std::remove(path.c_str());
+
+    EXPECT_EQ(readings, std::uint64_t(kMeasured));
+    std::printf("trace codec: %.2f allocations per written and %.2f "
+                "per read record\n",
+                double(written) / kMeasured, double(read) / kMeasured);
+    EXPECT_EQ(written, 0u);
+    EXPECT_EQ(read, 0u);
 }
 
 } // namespace

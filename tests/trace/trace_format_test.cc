@@ -444,6 +444,65 @@ TEST(TraceFormatTest, OverlongTrialBeginIsRefusedAndWritesNothing)
     std::remove(plain.c_str());
 }
 
+TEST(TraceFormatTest, PageOutsideAByteIsRefusedAndWritesNothing)
+{
+    setVerbose(false);
+    const std::string refused = ::testing::TempDir() + "page.gpct";
+    const std::string plain = ::testing::TempDir() + "page_plain.gpct";
+    for (const std::string &path : {refused, plain}) {
+        TraceWriter w;
+        ASSERT_EQ(w.open(path, testHeader()), TraceError::None);
+        EXPECT_EQ(w.writePageSwitch(SimTime::fromMs(1), 255),
+                  TraceError::None);
+        if (path == refused) {
+            // Narrowed to a byte, these would read back as 0 and 255.
+            EXPECT_EQ(w.writePageSwitch(SimTime::fromMs(2), 256),
+                      TraceError::FieldTooLong);
+            EXPECT_EQ(w.writePageSwitch(SimTime::fromMs(3), -1),
+                      TraceError::FieldTooLong);
+            EXPECT_EQ(w.recordCount(), 1u);
+        }
+        EXPECT_EQ(w.writeReading(testReading(8, 1000)),
+                  TraceError::None);
+        EXPECT_EQ(w.close(), path == refused ? TraceError::FieldTooLong
+                                             : TraceError::None);
+    }
+    EXPECT_EQ(slurp(refused), slurp(plain));
+    std::uint64_t records = 0;
+    EXPECT_EQ(TraceReader::verifyFile(refused, &records),
+              TraceError::None);
+    EXPECT_EQ(records, 2u);
+    const std::vector<TraceRecord> recs = readAll(refused);
+    ASSERT_EQ(recs.size(), 2u);
+    EXPECT_EQ(recs[0].kind, RecordKind::PageSwitch);
+    EXPECT_EQ(recs[0].page, 255);
+    std::remove(refused.c_str());
+    std::remove(plain.c_str());
+}
+
+TEST(TraceFormatTest, FailedBlockWriteSurfacesAsIoWrite)
+{
+    setVerbose(false);
+    // Every write to /dev/full fails with ENOSPC. Frames are accepted
+    // into the block; the failure shows when a full block is written
+    // out, and again (sticky) on close().
+    TraceWriter w;
+    if (w.open("/dev/full", testHeader()) != TraceError::None)
+        GTEST_SKIP() << "no /dev/full";
+    EXPECT_EQ(w.writeReading(testReading(8, 1000)), TraceError::None);
+    TraceError err = TraceError::None;
+    for (int i = 0; i < 1000 && err == TraceError::None; ++i)
+        err = w.writeReading(testReading(16 + 8 * i, 2000));
+    EXPECT_EQ(err, TraceError::IoWrite);
+    EXPECT_EQ(w.error(), TraceError::IoWrite);
+    EXPECT_EQ(w.close(), TraceError::IoWrite);
+
+    // A short stream fails only at close().
+    ASSERT_EQ(w.open("/dev/full", testHeader()), TraceError::None);
+    EXPECT_EQ(w.writeReading(testReading(8, 1000)), TraceError::None);
+    EXPECT_EQ(w.close(), TraceError::IoWrite);
+}
+
 TEST(TraceFormatTest, OverlongHeaderIsRefusedBeforeTheFileIsTouched)
 {
     setVerbose(false);

@@ -73,7 +73,7 @@ TEST(BinaryIoTest, RawOfNothingIsANoOp)
     EXPECT_EQ(w.size(), 0u);
     w.u8(7);
     w.raw(nullptr, 0);
-    EXPECT_EQ(w.bytes(), std::vector<std::uint8_t>{7});
+    EXPECT_EQ(w.take(), std::vector<std::uint8_t>{7});
 }
 
 TEST(BinaryIoTest, ShortBufferFailureIsSticky)
