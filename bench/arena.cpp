@@ -20,14 +20,20 @@
  *     "cells": [ {defense, attacker, accuracy, health, overhead} ]
  *   }
  *
- * CI's arena-smoke job gates on the invariant fields; the cells are
- * the measurement. `--quick` shrinks the grid and trial count to
- * sanitiser-friendly size.
+ * The cells are the measurement. The bench exits 1 unless the cells
+ * are deterministic across threads, stock >= defended, every defended
+ * cell reports overhead, and there are at least six cells, each with
+ * its own (defense, attacker) pair; ctest runs `arena --quick
+ * --threads 4` as a `gate` entry. The two "robust beats naive" lines
+ * are reported, not gated. `--quick` shrinks the grid and trial count
+ * to sanitiser-friendly size.
  */
 
 #include <cstdio>
 #include <cstring>
+#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "arena/matrix.h"
@@ -129,6 +135,13 @@ main(int argc, char **argv)
         if (c.defense != "stock" && c.overhead.cpuNs == 0)
             overheadEverywhere = false;
 
+    // --- Invariant: a full grid, one cell per (defense, attacker).
+    std::set<std::pair<std::string, std::string>> pairs;
+    for (const arena::Cell &c : cells)
+        pairs.emplace(c.defense, c.attacker);
+    const bool gridComplete =
+        cells.size() >= 6 && pairs.size() == cells.size();
+
     std::printf("\ndeterministic across threads (1 vs %zu): %s\n",
                 altThreads, deterministic ? "yes" : "NO");
     std::printf("stock >= defended in every column:        %s\n",
@@ -139,6 +152,8 @@ main(int argc, char **argv)
                 beatsQuant ? "yes" : "NO");
     std::printf("defender overhead reported in all cells:  %s\n",
                 overheadEverywhere ? "yes" : "NO");
+    std::printf(">= 6 cells, one per (defense, attacker):  %s\n",
+                gridComplete ? "yes" : "NO");
 
     auto jbool = [](bool b) { return b ? "true" : "false"; };
     std::string json = "{\n";
@@ -163,5 +178,10 @@ main(int argc, char **argv)
     std::printf("\nwrote BENCH_arena.json (%zu cells)\n",
                 cells.size());
 
+    if (!(deterministic && monotonic && overheadEverywhere &&
+          gridComplete)) {
+        std::printf("arena: an invariant failed\n");
+        return 1;
+    }
     return 0;
 }

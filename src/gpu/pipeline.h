@@ -9,15 +9,21 @@
  *    4 x spComponentsPerVertex vertex components.
  *  - RAS: rasterisation runs before depth rejection, so every quad
  *    counts its touched 8x4 tiles, fully covered 8x4 tiles, touched
- *    supertiles and active cycles regardless of occlusion.
+ *    supertiles and active cycles regardless of occlusion. Every
+ *    model's tile sides are powers of two, so the counts are shifts
+ *    worked out once per pipeline.
  *  - LRZ: primitives are tested front-to-back against the opaque
  *    coverage accumulated from the layers above; only pixels not
  *    hidden by it survive, producing the occlusion-sensitive counters
  *    the attack keys on (visible prims / visible pixels / full &
- *    partial 8x8 tiles of the rendered output). Coverage is one
- *    64-bit word per kLrzTile x kLrzTile tile of the damage box (bit
- *    row * 8 + col), so a primitive is tested a tile at a time.
- *    tests/gpu/lrz_reference.h keeps the per-pixel loop it replaced
+ *    partial 8x8 tiles of the rendered output). Coverage has two
+ *    levels. Each kLrzTile row of the damage box keeps two bitsets,
+ *    64 tiles per word: the fully covered tiles and the touched ones.
+ *    Only a partly covered tile keeps its 64-bit occupancy word (bit
+ *    row * 8 + col). A primitive's full-height tile rows are tested a
+ *    word of 64 tiles at a time; its partial top and bottom tile rows
+ *    and its partial edge columns are tested a tile at a time.
+ *    tests/gpu/lrz_reference.h keeps the per-pixel loop both replaced
  *    as the reference the tests compare against.
  *
  * This is where GPU *overdraw* (paper §2.1) turns into counter values.
@@ -48,6 +54,8 @@ struct FrameResult
 class Pipeline
 {
   public:
+    /** fatal()s unless every RAS and supertile side of @p model is a
+     *  power of two. */
     explicit Pipeline(const GpuModel &model);
 
     /** Render one frame and return the counter deltas it produces. */
@@ -56,9 +64,29 @@ class Pipeline
     const GpuModel &model() const { return model_; }
 
   private:
+    /** log2 of a tile grid's sides. */
+    struct TileShift
+    {
+        int w;
+        int h;
+    };
+
+    /** 64 consecutive LRZ tiles of one tile row. A full tile is also
+     *  touched. */
+    struct RowWord
+    {
+        std::uint64_t full;
+        std::uint64_t touched;
+    };
+
     const GpuModel &model_;
-    // Opaque coverage of the damage box's LRZ tiles, row-major, one
-    // word per tile; reused across frames.
+    TileShift ras_;
+    TileShift super_;
+    // The damage box's tile rows, row-major, (columns + 63) / 64
+    // words per row; cleared every frame.
+    std::vector<RowWord> rows_;
+    // One word per LRZ tile, row-major; read only while the tile is
+    // touched but not full, so it is never cleared.
     std::vector<std::uint64_t> occupancy_;
 };
 

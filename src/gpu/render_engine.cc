@@ -30,6 +30,8 @@ RenderEngine::submit(const gfx::FrameScene &scene, int ownerPid)
     const std::uint64_t key = scene.contentHash();
     auto it = sceneCache_.find(key);
     if (it == sceneCache_.end()) {
+        if (sceneCache_.size() >= kMemoCapacity)
+            sceneCache_.clear();
         FrameResult r = pipeline_.render(scene);
         it = sceneCache_
                  .emplace(key, CacheEntry{r.deltas, r.rasterizedPixels})

@@ -6,13 +6,16 @@
  * whether or not anything is typed, so these two events dominate a
  * trial's event count; the tests pin that they schedule and dispatch
  * without touching the heap. A recorded trace is that stream of
- * readings, so the trace codec is pinned the same way.
+ * readings, so the trace codec is pinned the same way, and so is the
+ * render pass of frames the render memo has not seen.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <string>
+#include <unordered_set>
+#include <vector>
 
 #include <unistd.h>
 
@@ -21,6 +24,7 @@
 #include "attack/eavesdropper.h"
 #include "attack/sampler.h"
 #include "attack/trainer.h"
+#include "gpu/pipeline.h"
 #include "trace/trace_reader.h"
 #include "trace/trace_writer.h"
 #include "util/event_queue.h"
@@ -126,6 +130,66 @@ TEST(SteadyStateAllocTest, EavesdroppedIdleLoginScreen)
     ASSERT_TRUE(spy.start());
     const std::uint64_t a = steadyStateAllocations(dev);
     RecordProperty("allocations", int(a));
+}
+
+TEST(SteadyStateAllocTest, WarmedPipelineRendersNewFramesWithoutAllocating)
+{
+    // The frames the memo cannot absorb: the animated pnc login
+    // screen draws a new animation frame every 160 ms, and each key
+    // press opens a popup. The surfaces are detached from the window
+    // manager and polled once per vsync while one key per letter is
+    // typed.
+    android::DeviceConfig cfg = quiet();
+    cfg.app = "pnc";
+    android::Device dev(cfg);
+    dev.launchTargetApp();
+    dev.runFor(1_s);
+    android::Surface *surfaces[] = {&dev.ime(), &dev.app()};
+    for (android::Surface *s : surfaces)
+        dev.wm().removeSurface(s);
+    std::vector<gfx::FrameScene> scenes;
+    for (char c = 'a'; c <= 'z'; ++c) {
+        const std::vector<const android::Key *> keys =
+            dev.ime().keysFor(c);
+        if (keys.size() != 1)
+            continue;
+        dev.ime().pressKey(*keys.front(), 120_ms);
+        for (int v = 0; v < 24; ++v) {
+            dev.runFor(dev.wm().vsyncPeriod());
+            for (android::Surface *s : surfaces) {
+                if (!s->visible() || !s->hasDamage())
+                    continue;
+                gfx::FrameScene scene;
+                scene.damage = s->takeDamage();
+                s->buildScene(scene);
+                scenes.push_back(std::move(scene));
+            }
+        }
+    }
+    std::unordered_set<std::uint64_t> distinct;
+    for (const gfx::FrameScene &s : scenes)
+        distinct.insert(s.contentHash());
+    ASSERT_GE(distinct.size(), 100u);
+
+    // Warm-up: one frame damaging the whole screen, the largest box
+    // any frame can have, sizes the pipeline's buffers.
+    gpu::Pipeline pipe(dev.engine().model());
+    gfx::FrameScene screen;
+    screen.damage = gfx::Rect{0, 0, dev.display().width,
+                              dev.display().height};
+    screen.add(screen.damage, true, gfx::PrimTag::Background);
+    pipe.render(screen);
+
+    const std::uint64_t allocs = heapAllocations();
+    std::int64_t visible = 0;
+    for (const gfx::FrameScene &s : scenes)
+        visible += pipe.render(s).deltas[gpu::LRZ_VISIBLE_PIXEL_AFTER_LRZ];
+    const std::uint64_t a = heapAllocations() - allocs;
+    std::printf("render: %zu frames (%zu distinct), %llu heap "
+                "allocations\n",
+                scenes.size(), distinct.size(), (unsigned long long)a);
+    EXPECT_GT(visible, 0);
+    EXPECT_EQ(a, 0u);
 }
 
 TEST(SteadyStateAllocTest, TraceCodecAllocatesNothingPerRecord)

@@ -37,6 +37,19 @@ TEST(GpuModelTest, LrzAndRasTilesMatchCounterNames)
     }
 }
 
+TEST(GpuModelTest, RasAndSupertileSidesArePowersOfTwo)
+{
+    // gpu::Pipeline counts RAS tiles and supertiles by shifting.
+    for (int gen : supportedAdrenoGenerations()) {
+        const GpuModel &m = adrenoModel(gen);
+        for (int side : {m.rasTileW, m.rasTileH, m.superTileW,
+                         m.superTileH}) {
+            EXPECT_GT(side, 0) << m.name;
+            EXPECT_EQ(side & (side - 1), 0) << m.name << ": " << side;
+        }
+    }
+}
+
 TEST(GpuModelTest, RenderCostGrowsWithPixels)
 {
     const GpuModel &m = adrenoModel(650);

@@ -18,21 +18,39 @@ namespace {
 
 /**
  * A random frame: damage boxes on and off the 8-pixel LRZ grid, some
- * smaller than one tile; quads of any size, 1x1 and screen-sized
- * quads; quads overhanging the damage, stored unclipped so that the
- * pipeline's own clip runs; translucent quads over opaque ones.
+ * smaller than one tile and some 513-1440 pixels wide, so that a tile
+ * row spans two or three 64-tile bitset words; quads of any size, 1x1
+ * and screen-sized quads; tile-aligned quads whose interior tile rows
+ * are whole; quads overhanging the damage, stored unclipped so that
+ * the pipeline's own clip runs; translucent quads over opaque ones.
  */
 gfx::FrameScene
 randomScene(Rng &rng, int maxPrims)
 {
     gfx::FrameScene s;
-    const bool small = rng.bernoulli(0.15);
-    const int w = small ? 1 + int(rng.uniformInt(0, 15))
-                        : 64 + int(rng.uniformInt(0, 400));
-    const int h = small ? 1 + int(rng.uniformInt(0, 15))
-                        : 64 + int(rng.uniformInt(0, 400));
-    s.damage = gfx::Rect::ofSize(int(rng.uniformInt(0, 50)),
-                                 int(rng.uniformInt(0, 50)), w, h);
+    const double box = rng.uniform();
+    int w = 0;
+    int h = 0;
+    if (box < 0.15) {
+        w = 1 + int(rng.uniformInt(0, 15));
+        h = 1 + int(rng.uniformInt(0, 15));
+    } else if (box < 0.4) {
+        w = 513 + int(rng.uniformInt(0, 927));
+        h = 1 + int(rng.uniformInt(0, 199));
+    } else {
+        w = 64 + int(rng.uniformInt(0, 400));
+        h = 64 + int(rng.uniformInt(0, 400));
+    }
+    int x = int(rng.uniformInt(0, 50));
+    int y = int(rng.uniformInt(0, 50));
+    if (rng.bernoulli(0.3)) {
+        // On the grid: every edge on a tile boundary.
+        x &= ~7;
+        y &= ~7;
+        w = (w + 7) & ~7;
+        h = (h + 7) & ~7;
+    }
+    s.damage = gfx::Rect::ofSize(x, y, w, h);
     const gfx::Rect &dmg = s.damage;
     const int prims = 1 + int(rng.uniformInt(0, maxPrims - 1));
     for (int i = 0; i < prims; ++i) {
@@ -57,6 +75,19 @@ randomScene(Rng &rng, int maxPrims)
         } else if (kind < 0.4 && !s.prims.empty()) {
             s.prims.push_back(gfx::Prim{s.prims.back().rect, false,
                                         gfx::PrimTag::AppContent});
+        } else if (kind < 0.55) {
+            // Tile-aligned and often as wide as the box, so its
+            // interior tile rows are whole. It starts at most 7 pixels
+            // before the box and is at least a tile long, so it meets
+            // the box.
+            const int tx = (dmg.x0 + int(rng.uniformInt(0, w / 2))) & ~7;
+            const int ty = (dmg.y0 + int(rng.uniformInt(0, h - 1))) & ~7;
+            const int tw = rng.bernoulli(0.5)
+                               ? ((dmg.x1 + 7) & ~7) - tx
+                               : 8 * int(rng.uniformInt(1, w / 8 + 2));
+            const int th = 8 * int(rng.uniformInt(1, h / 8 + 2));
+            s.prims.push_back(gfx::Prim{gfx::Rect::ofSize(tx, ty, tw, th),
+                                        opaque, gfx::PrimTag::AppContent});
         } else {
             const int pw = 1 + int(rng.uniformInt(0, w));
             const int ph = 1 + int(rng.uniformInt(0, h));

@@ -184,5 +184,17 @@ TEST_F(PipelineTest, ModelTileSizesShapeCounts)
               b.deltas[RAS_SUPERTILE_ACTIVE_CYCLES]);
 }
 
+TEST(PipelineDeathTest, NonPowerOfTwoTileSideIsFatal)
+{
+    // RAS and supertile counts are shifts, so a model whose sides are
+    // not powers of two is refused rather than miscounted.
+    GpuModel m = adrenoModel(650);
+    m.superTileW = 48;
+    EXPECT_DEATH(Pipeline{m}, "not a power of two");
+    m = adrenoModel(650);
+    m.rasTileH = 0;
+    EXPECT_DEATH(Pipeline{m}, "not a power of two");
+}
+
 } // namespace
 } // namespace gpusc::gpu

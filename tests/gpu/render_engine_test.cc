@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "gpu/model.h"
 #include "gpu/render_engine.h"
 #include "render_engine_reference.h"
@@ -159,6 +162,44 @@ TEST_F(RenderEngineTest, LargerScenesTakeLonger)
     const SimTime big =
         e2.submit(quadScene(1024, 1024)) - eq2.now();
     EXPECT_GT(big, small);
+}
+
+TEST(RenderEngineMemoTest, MemoStaysBoundedAndCountsStayExact)
+{
+    // More distinct frames than the memo holds, submitted twice: the
+    // memo fills, is dropped, and the second pass renders frames it
+    // has dropped. Each pass must count what the pipeline renders.
+    constexpr int kScenes = int(RenderEngine::kMemoCapacity) + 300;
+    std::vector<gfx::FrameScene> scenes(kScenes);
+    Pipeline pipe(adrenoModel(650));
+    CounterTotals want{};
+    for (int i = 0; i < kScenes; ++i) {
+        gfx::FrameScene &s = scenes[std::size_t(i)];
+        s.damage = gfx::Rect::ofSize(0, 0, 128, 128);
+        s.add(s.damage, true, gfx::PrimTag::Background);
+        s.add(gfx::Rect::ofSize(i % 97, (i / 97) % 89, 9, 13), i % 3 != 0,
+              gfx::PrimTag::AppContent);
+        const CounterVec d = pipe.render(s).deltas;
+        for (std::size_t c = 0; c < kNumSelectedCounters; ++c)
+            want[c] += std::uint64_t(d[c]);
+    }
+
+    EventQueue eq;
+    RenderEngine engine(eq, adrenoModel(650), 1);
+    std::size_t mostEntries = 0;
+    for (int pass = 0; pass < 2; ++pass) {
+        const CounterTotals before = engine.readAll();
+        for (const gfx::FrameScene &s : scenes) {
+            eq.runUntil(engine.submit(s));
+            mostEntries = std::max(mostEntries, engine.memoEntries());
+        }
+        CounterTotals added = engine.readAll();
+        for (std::size_t c = 0; c < kNumSelectedCounters; ++c)
+            added[c] -= before[c];
+        EXPECT_EQ(added, want) << "pass " << pass;
+        EXPECT_EQ(mostEntries, RenderEngine::kMemoCapacity);
+        EXPECT_LT(engine.memoEntries(), RenderEngine::kMemoCapacity);
+    }
 }
 
 /** A few opaque and translucent quads in a random damage box. */
