@@ -7,15 +7,21 @@
  * pipeline (offline training -> victim session -> typed credentials ->
  * eavesdropping -> scoring). Models are cached process-wide so a bench
  * that sweeps many device configurations trains each one exactly once.
+ * The two telemetry-overhead benches share one synthetic model and
+ * reading stream, so they need no training at all.
  */
 
 #ifndef GPUSC_BENCH_BENCH_UTIL_H
 #define GPUSC_BENCH_BENCH_UTIL_H
 
+#include <array>
+#include <cstdint>
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "attack/model_store.h"
+#include "attack/sampler.h"
 #include "eval/experiment.h"
 #include "eval/metrics.h"
 #include "util/logging.h"
@@ -61,6 +67,52 @@ writeJsonMirror(const std::string &path, const std::string &json)
     std::fputc('\n', f);
     std::fclose(f);
     return true;
+}
+
+/**
+ * A minimal but non-trivial model: eight keys 'a'..'h' whose
+ * centroids are what syntheticReadings() redraws, so replaying that
+ * stream exercises the real classify path on every change.
+ */
+inline attack::SignatureModel
+syntheticModel()
+{
+    attack::SignatureModel m;
+    m.setModelKey("bench/synthetic");
+    std::array<double, gpu::kNumSelectedCounters> scale{};
+    scale.fill(1.0 / 1000.0);
+    m.setScale(scale);
+    for (char ch : {'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'}) {
+        attack::LabelSignature sig;
+        sig.label = attack::Label(1, ch);
+        for (std::size_t d = 0; d < sig.centroid.size(); ++d)
+            sig.centroid[d] = 8000 + 512 * (ch - 'a') + 31 * long(d);
+        m.addSignature(sig);
+    }
+    m.setThreshold(3.0);
+    return m;
+}
+
+/** @p n readings at 8 ms cadence; every 16th is a keypress redraw. */
+inline std::vector<attack::Reading>
+syntheticReadings(std::uint64_t n)
+{
+    std::vector<attack::Reading> out;
+    out.reserve(n);
+    attack::Reading r;
+    gpu::CounterTotals totals{};
+    for (std::uint64_t i = 0; i < n; ++i) {
+        r.time = SimTime::fromMs(std::int64_t(8 * i));
+        if (i % 16 == 15) {
+            const int key = int(i / 16) % 8;
+            for (std::size_t d = 0; d < totals.size(); ++d)
+                totals[d] +=
+                    std::uint64_t(8000 + 512 * key + 31 * int(d));
+        }
+        r.totals = totals;
+        out.push_back(r);
+    }
+    return out;
 }
 
 } // namespace gpusc::bench

@@ -2,7 +2,7 @@
  * @file
  * Fault-resilience sweep: per-key accuracy of the hardened sampling
  * pipeline as driver hostility scales, reported as JSON lines on
- * stdout (one object per fault level, replay_throughput style):
+ * stdout (one object per fault level):
  *
  *   {"bench": "fault_resilience", "level": "...",
  *    "collapse_ms": ..., "transient_prob": ..., "wrap32": ...,

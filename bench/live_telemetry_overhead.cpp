@@ -18,10 +18,11 @@
  * baseline on the streaming path: a per-pump tick is one branch while
  * inside a window, and a window close snapshots counters through the
  * registry's existing tables. The bench exits non-zero when the
- * median overhead exceeds the threshold (argv-overridable) or the
+ * median overhead exceeds the threshold (argv-overridable), when the
  * inferred output differs between plane-on and plane-off (the
  * plane-off configuration is still run for exactly that check, and
- * its time is reported as seconds_off for context).
+ * its time is reported as seconds_off for context), or when the
+ * active plane closed no window, which would leave nothing measured.
  *
  * The reference load is a session *fleet* (the service's designed
  * operating point — stream_throughput's capacity segment runs
@@ -49,48 +50,6 @@
 using namespace gpusc;
 
 namespace {
-
-/** Same minimal model the telemetry_overhead bench attacks with. */
-attack::SignatureModel
-benchModel()
-{
-    attack::SignatureModel m;
-    m.setModelKey("bench/live-synthetic");
-    std::array<double, gpu::kNumSelectedCounters> scale{};
-    scale.fill(1.0 / 1000.0);
-    m.setScale(scale);
-    for (char ch : {'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'}) {
-        attack::LabelSignature sig;
-        sig.label = attack::Label(1, ch);
-        for (std::size_t d = 0; d < sig.centroid.size(); ++d)
-            sig.centroid[d] = 8000 + 512 * (ch - 'a') + 31 * long(d);
-        m.addSignature(sig);
-    }
-    m.setThreshold(3.0);
-    return m;
-}
-
-/** @p n readings at 8 ms cadence; every 16th is a keypress redraw. */
-std::vector<attack::Reading>
-synthesizeReadings(std::uint64_t n)
-{
-    std::vector<attack::Reading> out;
-    out.reserve(n);
-    attack::Reading r;
-    gpu::CounterTotals totals{};
-    for (std::uint64_t i = 0; i < n; ++i) {
-        r.time = SimTime::fromMs(std::int64_t(8 * i));
-        if (i % 16 == 15) {
-            const int key = int(i / 16) % 8;
-            for (std::size_t d = 0; d < totals.size(); ++d)
-                totals[d] +=
-                    std::uint64_t(8000 + 512 * key + 31 * int(d));
-        }
-        r.totals = totals;
-        out.push_back(r);
-    }
-    return out;
-}
 
 /**
  * Per-process CPU seconds. The overhead ratio is gated on CPU time,
@@ -224,9 +183,9 @@ main(int argc, char **argv)
         passes = std::min(passes, 15);
     }
 
-    const attack::SignatureModel model = benchModel();
+    const attack::SignatureModel model = bench::syntheticModel();
     const std::vector<attack::Reading> stream =
-        synthesizeReadings(readings);
+        bench::syntheticReadings(readings);
 
     // Warm-up (allocator, lazily-resolved metric handles), then the
     // bit-identical check: the plane must not perturb inference.
@@ -241,6 +200,8 @@ main(int argc, char **argv)
         fatal("live plane changed the inferred output: "
               "'%s' vs '%s'",
               on.inferred.c_str(), off.inferred.c_str());
+    if (on.windows == 0)
+        fatal("live plane closed no window: nothing to measure");
 
     // Each pass runs the two configurations back to back (alternating
     // which goes first, so a monotone host slowdown cannot

@@ -33,6 +33,11 @@
  *                           "mean_late_acc": ...},
  *              "frozen": {"curve": [...], "mean_late_acc": ...},
  *              "adaptation_wins": true}}
+ *
+ * The bench exits non-zero unless the capacity segment holds at least
+ * 100 sessions within the memory budget, the shed funnel reconciles,
+ * and adaptation beats the frozen model, so ctest and CI run it as a
+ * gate. Its timings are reported, not gated.
  */
 
 #include <chrono>
@@ -43,6 +48,7 @@
 #include <vector>
 
 #include "attack/model_store.h"
+#include "bench_util.h"
 #include "eval/experiment.h"
 #include "eval/metrics.h"
 #include "exec/thread_pool.h"
@@ -55,6 +61,9 @@ using namespace gpusc;
 namespace {
 
 constexpr std::uint64_t kSeed = 20260808;
+
+/** Fewest sessions the capacity segment must hold, in either mode. */
+constexpr std::size_t kMinSessionsHeld = 100;
 
 /** One ground-truth credential window of the recorded stream. */
 struct TrialWindow
@@ -283,6 +292,9 @@ main(int argc, char **argv)
             android::DeviceConfig{}, attack::OfflineTrainer{});
     char buf[512];
     std::string json = "{\"bench\": \"stream_throughput\", ";
+    bool capacityOk = false;
+    bool funnelOk = false;
+    bool adaptationWins = false;
 
     // --- capacity: fan out to `fleet` concurrent sessions. ---
     {
@@ -309,6 +321,9 @@ main(int argc, char **argv)
         const auto t1 = std::chrono::steady_clock::now();
         const double secs =
             std::chrono::duration<double>(t1 - t0).count();
+        capacityOk = svc.sessions().size() >= kMinSessionsHeld &&
+                     svc.sessions().memoryUseBytes() <=
+                         svc.sessions().params().memoryBudgetBytes;
         std::snprintf(
             buf, sizeof buf,
             "\"capacity\": {\"sessions\": %zu, "
@@ -350,7 +365,7 @@ main(int argc, char **argv)
             agg.audit.count(obs::Decision::DuplicationDrop) +
             agg.audit.count(obs::Decision::NoiseRejected) +
             agg.audit.count(obs::Decision::SuppressedAppSwitch);
-        const bool funnelOk =
+        funnelOk =
             agg.audit.changesAudited() == parts &&
             agg.audit.count(obs::Decision::ShedOldestDrop) ==
                 svc.readingsShedOldest();
@@ -379,6 +394,7 @@ main(int argc, char **argv)
             drifted, stream.trials, false, window, nullptr);
         const double lateAdaptive = meanLateAccuracy(adaptive);
         const double lateFrozen = meanLateAccuracy(frozen);
+        adaptationWins = lateAdaptive > lateFrozen;
         std::snprintf(
             buf, sizeof buf,
             "\"drift\": {\"trials\": %zu, \"window\": %zu, "
@@ -394,17 +410,21 @@ main(int argc, char **argv)
             "\"frozen\": {\"curve\": %s, \"mean_late_acc\": %.4f}, "
             "\"adaptation_wins\": %s}}",
             curveJson(frozen).c_str(), lateFrozen,
-            lateAdaptive > lateFrozen ? "true" : "false");
+            adaptationWins ? "true" : "false");
         json += buf;
     }
 
     std::printf("%s\n", json.c_str());
-    std::FILE *f = std::fopen("BENCH_stream.json", "w");
-    if (f) {
-        std::fprintf(f, "%s\n", json.c_str());
-        std::fclose(f);
-    } else {
-        warn("stream_throughput: cannot write BENCH_stream.json");
-    }
-    return 0;
+    bench::writeJsonMirror("BENCH_stream.json", json);
+
+    if (!capacityOk)
+        warn("stream_throughput: fewer than %zu sessions held, or "
+             "over the memory budget",
+             kMinSessionsHeld);
+    if (!funnelOk)
+        warn("stream_throughput: shed funnel does not reconcile");
+    if (!adaptationWins)
+        warn("stream_throughput: adaptation does not beat the frozen "
+             "model");
+    return capacityOk && funnelOk && adaptationWins ? 0 : 1;
 }

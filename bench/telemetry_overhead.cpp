@@ -1,6 +1,6 @@
 /**
  * @file
- * Micro-benchmark guarding the telemetry overhead budget: replays the
+ * Micro-benchmark of the telemetry overhead on replay: replays the
  * same synthetic .gpct trace through the detached inference pipeline
  * with telemetry off and on, and reports both times plus the relative
  * overhead as JSON on stdout:
@@ -9,12 +9,12 @@
  *    "seconds_off": ..., "seconds_on": ..., "overhead_pct": ...,
  *    "identical_output": true}
  *
- * The src/obs/ design contract is <2 % on this path (DESIGN.md
- * "Observability"): per-reading work is counter increments through
- * pre-resolved handles, and host-clock spans are confined to change
- * granularity plus a 1-in-64 reading sample. The bench also asserts
- * the other half of the contract — the inferred output is
- * bit-identical with telemetry on or off.
+ * Per-reading work is counter increments through pre-resolved
+ * handles, and host-clock spans are confined to change granularity
+ * plus a 1-in-64 reading sample. The bench fails only when replay
+ * fails or the inferred output differs with telemetry on or off; the
+ * overhead is reported, not gated (DESIGN.md "Observability" has the
+ * readings, ROADMAP item 4 the budget).
  */
 
 #include <algorithm>
@@ -26,6 +26,7 @@
 
 #include <unistd.h>
 
+#include "bench_util.h"
 #include "obs/telemetry.h"
 #include "trace/trace_replayer.h"
 #include "trace/trace_writer.h"
@@ -35,28 +36,7 @@ using namespace gpusc;
 
 namespace {
 
-/** A minimal but non-trivial model so replay exercises the real
- *  classify path on every detected change. */
-attack::SignatureModel
-benchModel()
-{
-    attack::SignatureModel m;
-    m.setModelKey("bench/synthetic");
-    std::array<double, gpu::kNumSelectedCounters> scale{};
-    scale.fill(1.0 / 1000.0);
-    m.setScale(scale);
-    for (char ch : {'a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'}) {
-        attack::LabelSignature sig;
-        sig.label = attack::Label(1, ch);
-        for (std::size_t d = 0; d < sig.centroid.size(); ++d)
-            sig.centroid[d] = 8000 + 512 * (ch - 'a') + 31 * long(d);
-        m.addSignature(sig);
-    }
-    m.setThreshold(3.0);
-    return m;
-}
-
-/** Write @p n readings; every 16th simulates a keypress redraw. */
+/** Write bench::syntheticReadings(@p n) to a per-process trace. */
 std::string
 synthesizeTrace(std::uint64_t n)
 {
@@ -71,20 +51,9 @@ synthesizeTrace(std::uint64_t n)
     trace::TraceWriter w;
     if (w.open(path, header) != trace::TraceError::None)
         fatal("cannot create %s", path.c_str());
-    attack::Reading r;
-    gpu::CounterTotals totals{};
-    for (std::uint64_t i = 0; i < n; ++i) {
-        r.time = SimTime::fromMs(std::int64_t(8 * i));
-        if (i % 16 == 15) {
-            const int key = int(i / 16) % 8;
-            for (std::size_t d = 0; d < totals.size(); ++d)
-                totals[d] +=
-                    std::uint64_t(8000 + 512 * key + 31 * int(d));
-        }
-        r.totals = totals;
+    for (const attack::Reading &r : bench::syntheticReadings(n))
         if (w.writeReading(r) != trace::TraceError::None)
             fatal("write failed");
-    }
     if (w.close() != trace::TraceError::None)
         fatal("close failed");
     return path;
@@ -120,7 +89,7 @@ main(int argc, char **argv)
         argc > 2 ? std::atoi(argv[2]) : 21;
 
     const std::string path = synthesizeTrace(readings);
-    const attack::SignatureModel model = benchModel();
+    const attack::SignatureModel model = bench::syntheticModel();
 
     trace::TraceReplayer off(model);
     obs::Telemetry telemetry;

@@ -13,6 +13,8 @@
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 #include "attack/model_store.h"
 #include "eval/experiment.h"
 #include "obs/telemetry.h"
@@ -69,45 +71,65 @@ TEST(TelemetryE2eTest, LiveRunIsBitIdenticalWithTelemetryOn)
 TEST(TelemetryE2eTest, FunnelPartitionsTheChangesIn)
 {
     setVerbose(false);
-    obs::Telemetry telemetry;
-    ExperimentConfig cfg;
-    cfg.seed = 434343;
-    cfg.telemetry = &telemetry;
-    runTrials(cfg, 3);
+    struct Case
+    {
+        std::uint64_t seed;
+        int trials;
+        std::size_t maxLen;
+        double transientErrorProb;
+    };
+    // The second case is experiment_cli's telemetry smoke (--trials 5
+    // --seed 7 --transient-prob 0.05): the sampler retries hundreds
+    // of failed ioctls, and no retry may leak into the funnel.
+    for (const Case &c :
+         {Case{434343, 3, 10, 0.0}, Case{7, 5, 16, 0.05}}) {
+        SCOPED_TRACE(c.seed);
+        obs::Telemetry telemetry;
+        ExperimentConfig cfg;
+        cfg.seed = c.seed;
+        cfg.faultPlan.transientErrorProb = c.transientErrorProb;
+        cfg.telemetry = &telemetry;
+        ExperimentRunner runner(cfg, store());
+        runner.runTrials(c.trials, 8, c.maxLen);
 
-    // Every change that entered Algorithm 1 received exactly one
-    // change-level decision.
-    auto &m = telemetry.metrics;
-    const std::uint64_t changesIn =
-        m.counter("infer.changes_in").value();
-    EXPECT_GT(changesIn, 0u);
-    EXPECT_EQ(changesIn, telemetry.audit.changesAudited());
-    using obs::Decision;
-    const auto &audit = telemetry.audit;
-    EXPECT_EQ(changesIn, audit.count(Decision::AcceptedKey) +
-                             audit.count(Decision::SplitRepaired) +
-                             audit.count(Decision::DuplicationDrop) +
-                             audit.count(Decision::NoiseRejected) +
-                             audit.count(Decision::SuppressedAppSwitch));
+        // Every change that entered Algorithm 1 received exactly one
+        // change-level decision.
+        auto &m = telemetry.metrics;
+        const std::uint64_t changesIn =
+            m.counter("infer.changes_in").value();
+        EXPECT_GT(changesIn, 0u);
+        EXPECT_EQ(changesIn, telemetry.audit.changesAudited());
+        using obs::Decision;
+        const auto &audit = telemetry.audit;
+        EXPECT_EQ(changesIn,
+                  audit.count(Decision::AcceptedKey) +
+                      audit.count(Decision::SplitRepaired) +
+                      audit.count(Decision::DuplicationDrop) +
+                      audit.count(Decision::NoiseRejected) +
+                      audit.count(Decision::SuppressedAppSwitch));
 
-    // Registry and audit agree on the acceptance counts: the accepted
-    // class splits into direct accepts and split-repairs.
-    EXPECT_EQ(m.counter("infer.accepted").value(),
-              audit.count(Decision::AcceptedKey) +
-                  audit.count(Decision::SplitRepaired) +
-                  audit.count(Decision::SuppressedAppSwitch));
-    EXPECT_EQ(m.counter("infer.split_combines").value(),
-              audit.count(Decision::SplitRepaired));
-    EXPECT_EQ(m.counter("infer.dup_drops").value(),
-              audit.count(Decision::DuplicationDrop));
-    EXPECT_EQ(m.counter("infer.noise").value(),
-              audit.count(Decision::NoiseRejected));
+        // Registry and audit agree on the acceptance counts: the
+        // accepted class splits into direct accepts and split-repairs.
+        EXPECT_EQ(m.counter("infer.accepted").value(),
+                  audit.count(Decision::AcceptedKey) +
+                      audit.count(Decision::SplitRepaired) +
+                      audit.count(Decision::SuppressedAppSwitch));
+        EXPECT_EQ(m.counter("infer.split_combines").value(),
+                  audit.count(Decision::SplitRepaired));
+        EXPECT_EQ(m.counter("infer.dup_drops").value(),
+                  audit.count(Decision::DuplicationDrop));
+        EXPECT_EQ(m.counter("infer.noise").value(),
+                  audit.count(Decision::NoiseRejected));
+        EXPECT_EQ(m.counter("sampler.transient_retries").value() > 0,
+                  c.transientErrorProb > 0.0);
+    }
 }
 
 TEST(TelemetryE2eTest, ReplayIsBitIdenticalWithTelemetryOn)
 {
     setVerbose(false);
-    const std::string path = "/tmp/gpusc_telemetry_e2e.gpct";
+    const std::string path = ::testing::TempDir() + "telemetry_e2e." +
+                             std::to_string(::getpid()) + ".gpct";
 
     ExperimentConfig cfg;
     cfg.seed = 454545;

@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+
+#include <unistd.h>
 
 #include "obs/telemetry.h"
 
@@ -111,7 +114,8 @@ TEST(TelemetryTest, RingCapacitiesComeFromParams)
 
 TEST(TelemetryTest, WriteFileRoundTripsAndFailsCleanly)
 {
-    const std::string path = "/tmp/gpusc_telemetry_test.json";
+    const std::string path = ::testing::TempDir() + "telemetry_test." +
+                             std::to_string(::getpid()) + ".json";
     EXPECT_TRUE(Telemetry::writeFile(path, "{\"ok\": true}\n"));
     std::ifstream in(path);
     std::stringstream ss;

@@ -16,6 +16,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "simd/kernels.h"
@@ -187,6 +188,15 @@ TEST(KernelConformanceTest, ScalarBackendIsTheReferenceTable)
     const Kernels &k = kernels();
     EXPECT_EQ(k.argminL2, &ref::argminL2);
     EXPECT_EQ(k.argminWL2, &ref::argminWL2);
+}
+
+TEST(KernelConformanceTest, BuildPinsTheRequestedBackend)
+{
+    // GPUSC_SIMD_REQUESTED is the build's GPUSC_SIMD cache value.
+    const std::string requested = GPUSC_SIMD_REQUESTED;
+    if (requested == "auto")
+        GTEST_SKIP() << "GPUSC_SIMD=auto picks the backend at runtime";
+    EXPECT_EQ(backendName(activeBackend()), requested);
 }
 
 } // namespace
